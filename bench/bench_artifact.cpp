@@ -3,8 +3,8 @@
 //
 // The rebuild path is what every session paid before the artifact layer:
 // parse the theory, replay the update log, enumerate the revised models.
-// The artifact path validates checksums, reads the packed rows (in place
-// when mmap alignment allows), and reconstructs the same state.  The
+// The artifact path reads the file, validates checksums, reads the packed
+// rows in place from the file buffer, and reconstructs the same state.  The
 // `cold_start` table records both, per Table-1-style corpus size; the
 // acceptance bar is load >= 10x faster than rebuild at the larger sizes.
 

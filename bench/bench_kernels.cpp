@@ -1,14 +1,11 @@
 // Microbenchmarks for the revision kernels and the model-enumeration
 // cache (no paper table — this is the performance regression harness).
 //
-//   * Kernel scaling: every model-based operator kernel timed three ways
-//     on a Nebel-style worlds instance (mt = one letter of each pair
-//     {x_i, y_i}, mp = pair-equal models): scalar Interpretation loops at
-//     1 thread (seq_ms), packed bit-matrix kernels at 1 thread
-//     (seq_packed_ms) and packed at REVISE_THREADS (par_ms), with a
-//     bit-identity check across all three runs.  The headline `speedup`
-//     column is the single-thread packed-vs-scalar ratio — honest on any
-//     machine; parallel scaling shows up in par_ms only when the manifest
+//   * Kernel scaling: every model-based operator kernel timed on a
+//     Nebel-style worlds instance (mt = one letter of each pair
+//     {x_i, y_i}, mp = pair-equal models) at 1 thread (seq_packed_ms) and
+//     at REVISE_THREADS (par_ms), with a bit-identity check across the
+//     two.  Parallel scaling shows up in par_ms only when the manifest
 //     records more than one hardware thread.
 //   * Enumeration cache: cold vs warm EnumerateModels on the Nebel GFUV
 //     formula.  The warm path is a structural-hash lookup and is orders
@@ -87,46 +84,37 @@ double TimeMs(int reps, const Fn& fn) {
   return best;
 }
 
-// Times one kernel row three ways (scalar/1t, packed/1t, packed/default
-// threads), checks all three results are bit-identical and appends the
-// row.  Restores packed kernels + default threads on exit.
+// Times one kernel row at 1 thread and at the default thread count,
+// checks both results are bit-identical and appends the row.  Restores
+// the default thread count on exit.
 template <typename Result, typename Run>
 void MeasureKernelRow(obs::Report* report, const char* name, int m,
                       size_t pairs, const Run& run) {
-  Result scalar_result;
-  Result packed_result;
+  Result seq_result;
   Result par_result;
-  kernel::SetPackedKernelsEnabled(false);
   SetParallelThreadsOverride(1);
-  const double seq_ms = TimeMs(3, [&] { scalar_result = run(); });
-  kernel::SetPackedKernelsEnabled(true);
-  const double seq_packed_ms = TimeMs(3, [&] { packed_result = run(); });
+  const double seq_packed_ms = TimeMs(3, [&] { seq_result = run(); });
   SetParallelThreadsOverride(0);  // default: REVISE_THREADS or hardware
   const double par_ms = TimeMs(3, [&] { par_result = run(); });
-  const bool identical =
-      scalar_result == packed_result && packed_result == par_result;
-  const double speedup = seq_packed_ms > 0 ? seq_ms / seq_packed_ms : 0.0;
-  std::printf("%-22s %-4d %10zu %10.2f %14.2f %10.2f %7.2fx %10s\n", name, m,
-              pairs, seq_ms, seq_packed_ms, par_ms, speedup,
-              identical ? "yes" : "NO");
-  report->AddRow("kernel_scaling", {name, m, pairs, seq_ms, seq_packed_ms,
-                                    par_ms, speedup, identical});
+  const bool identical = seq_result == par_result;
+  std::printf("%-22s %-4d %10zu %14.2f %10.2f %10s\n", name, m, pairs,
+              seq_packed_ms, par_ms, identical ? "yes" : "NO");
+  report->AddRow("kernel_scaling",
+                 {name, m, pairs, seq_packed_ms, par_ms, identical});
 }
 
 void MeasureKernelScaling(obs::Report* report) {
-  bench::Headline("Revision kernels: scalar vs packed vs REVISE_THREADS");
+  bench::Headline("Revision kernels: 1 thread vs REVISE_THREADS");
   const size_t parallel_threads = ParallelThreads();
   std::printf(
       "hardware threads: %u, parallel run uses %zu thread(s), "
       "simd path: %s\n",
       std::thread::hardware_concurrency(), parallel_threads,
       kernel::ActiveSimdPath());
-  report->AddTable("kernel_scaling",
-                   {"kernel", "m", "pairs", "seq_ms", "seq_packed_ms",
-                    "par_ms", "speedup", "identical"});
-  std::printf("%-22s %-4s %10s %10s %14s %10s %8s %10s\n", "kernel", "m",
-              "pairs", "seq ms", "seq packed ms", "par ms", "speedup",
-              "identical");
+  report->AddTable("kernel_scaling", {"kernel", "m", "pairs", "seq_packed_ms",
+                                      "par_ms", "identical"});
+  std::printf("%-22s %-4s %10s %14s %10s %10s\n", "kernel", "m", "pairs",
+              "seq packed ms", "par ms", "identical");
 
   struct Kernel {
     const char* name;

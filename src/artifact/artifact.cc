@@ -1,20 +1,13 @@
 #include "artifact/artifact.h"
 
-#include <cstdlib>
+#include <algorithm>
 #include <cstring>
 #include <fstream>
 #include <utility>
 
 #include "artifact/checksum.h"
 #include "obs/metrics.h"
-
-#if defined(__unix__) || defined(__APPLE__)
-#define REVISE_ARTIFACT_HAVE_MMAP 1
-#include <fcntl.h>
-#include <sys/mman.h>
-#include <sys/stat.h>
-#include <unistd.h>
-#endif
+#include "util/file.h"
 
 namespace revise::artifact {
 
@@ -64,11 +57,6 @@ uint64_t FileCrc(const uint8_t* data, size_t size) {
   state = Crc64Update(state, data + kFileCrcOffset + 8,
                       size - kFileCrcOffset - 8);
   return Crc64Final(state);
-}
-
-bool MmapDisabledByEnv() {
-  const char* env = std::getenv("REVISE_ARTIFACT_MMAP");
-  return env != nullptr && env[0] == '0' && env[1] == '\0';
 }
 
 }  // namespace
@@ -194,8 +182,8 @@ std::vector<uint8_t> ArtifactWriter::Assemble() const {
     StoreU64(entry + 16, section.payload.size());
     StoreU64(entry + 24,
              Crc64(section.payload.data(), section.payload.size()));
-    std::memcpy(image.data() + offsets[i], section.payload.data(),
-                section.payload.size());
+    std::copy(section.payload.begin(), section.payload.end(),
+              image.begin() + static_cast<ptrdiff_t>(offsets[i]));
   }
 
   StoreU64(image.data() + kFileCrcOffset, FileCrc(image.data(), total));
@@ -223,99 +211,24 @@ Status ArtifactWriter::WriteToFile(const std::string& path) const {
   return Status::Ok();
 }
 
-ArtifactFile::ArtifactFile(ArtifactFile&& other) noexcept
-    : data_(std::exchange(other.data_, nullptr)),
-      size_(std::exchange(other.size_, 0)),
-      map_base_(std::exchange(other.map_base_, nullptr)),
-      map_size_(std::exchange(other.map_size_, 0)),
-      owned_(std::move(other.owned_)),
-      sections_(std::move(other.sections_)),
-      version_(other.version_),
-      crc_(other.crc_) {}
-
-ArtifactFile& ArtifactFile::operator=(ArtifactFile&& other) noexcept {
-  if (this != &other) {
-    Release();
-    data_ = std::exchange(other.data_, nullptr);
-    size_ = std::exchange(other.size_, 0);
-    map_base_ = std::exchange(other.map_base_, nullptr);
-    map_size_ = std::exchange(other.map_size_, 0);
-    owned_ = std::move(other.owned_);
-    sections_ = std::move(other.sections_);
-    version_ = other.version_;
-    crc_ = other.crc_;
-  }
-  return *this;
-}
-
-ArtifactFile::~ArtifactFile() { Release(); }
-
-void ArtifactFile::Release() {
-#if defined(REVISE_ARTIFACT_HAVE_MMAP)
-  if (map_base_ != nullptr) {
-    ::munmap(map_base_, map_size_);
-    map_base_ = nullptr;
-  }
-#endif
-  data_ = nullptr;
-}
-
 StatusOr<ArtifactFile> ArtifactFile::Open(const std::string& path) {
-  ArtifactFile file;
-#if defined(REVISE_ARTIFACT_HAVE_MMAP)
-  if (!MmapDisabledByEnv()) {
-    int fd = ::open(path.c_str(), O_RDONLY);
-    if (fd >= 0) {
-      struct stat st;
-      if (::fstat(fd, &st) == 0 && st.st_size > 0) {
-        size_t size = static_cast<size_t>(st.st_size);
-        void* base = ::mmap(nullptr, size, PROT_READ, MAP_PRIVATE, fd, 0);
-        if (base != MAP_FAILED) {
-          file.map_base_ = base;
-          file.map_size_ = size;
-          file.data_ = static_cast<const uint8_t*>(base);
-          file.size_ = size;
-        }
-      }
-      ::close(fd);
-    }
-  }
-#endif
-  if (file.data_ == nullptr) {
-    // Streamed fallback: no mmap on this platform, mapping disabled via
-    // REVISE_ARTIFACT_MMAP=0, or the map itself failed.
-    std::ifstream in(path, std::ios::binary | std::ios::ate);
-    if (!in) {
-      return NotFoundError("cannot open artifact " + path);
-    }
-    std::streamsize size = in.tellg();
-    in.seekg(0);
-    file.owned_.resize(static_cast<size_t>(size));
-    if (!in.read(reinterpret_cast<char*>(file.owned_.data()), size)) {
-      return InternalError("short read of artifact " + path);
-    }
-    file.data_ = file.owned_.data();
-    file.size_ = file.owned_.size();
-  }
-
-  Status valid = file.Validate();
-  if (!valid.ok()) {
+  StatusOr<std::vector<uint8_t>> bytes = util::ReadFileBytes(path);
+  if (!bytes.ok()) {
     REVISE_OBS_COUNTER("artifact.open_failures").Increment();
-    return valid;
+    return bytes.status();
+  }
+  StatusOr<ArtifactFile> file = FromBytes(std::move(bytes).value());
+  if (!file.ok()) {
+    return file.status();
   }
   REVISE_OBS_COUNTER("artifact.opens").Increment();
-  if (file.mapped()) {
-    REVISE_OBS_COUNTER("artifact.mmap_opens").Increment();
-  }
-  REVISE_OBS_HISTOGRAM("artifact.open_bytes").Record(file.size_);
+  REVISE_OBS_HISTOGRAM("artifact.open_bytes").Record(file->file_size());
   return file;
 }
 
 StatusOr<ArtifactFile> ArtifactFile::FromBytes(std::vector<uint8_t> bytes) {
   ArtifactFile file;
-  file.owned_ = std::move(bytes);
-  file.data_ = file.owned_.data();
-  file.size_ = file.owned_.size();
+  file.bytes_ = std::move(bytes);
   Status valid = file.Validate();
   if (!valid.ok()) {
     REVISE_OBS_COUNTER("artifact.open_failures").Increment();
@@ -325,57 +238,59 @@ StatusOr<ArtifactFile> ArtifactFile::FromBytes(std::vector<uint8_t> bytes) {
 }
 
 Status ArtifactFile::Validate() {
-  if (size_ < kHeaderSize) {
+  const uint8_t* data = bytes_.data();
+  const size_t size = bytes_.size();
+  if (size < kHeaderSize) {
     return InvalidArgumentError("artifact truncated: " +
-                                std::to_string(size_) +
+                                std::to_string(size) +
                                 " bytes is smaller than the header");
   }
-  if (std::memcmp(data_, kMagic.data(), kMagicSize) != 0) {
+  if (std::memcmp(data, kMagic.data(), kMagicSize) != 0) {
     return InvalidArgumentError("bad magic: not a .rkb artifact");
   }
-  uint64_t declared_size = LoadU64(data_ + 16);
-  if (declared_size != size_) {
+  uint64_t declared_size = LoadU64(data + 16);
+  if (declared_size != size) {
     return InvalidArgumentError(
         "artifact size mismatch: header declares " +
         std::to_string(declared_size) + " bytes, file has " +
-        std::to_string(size_));
+        std::to_string(size));
   }
   // Whole-file checksum before anything else is trusted: any flipped
   // byte from here on is caught as a checksum error.
-  crc_ = LoadU64(data_ + kFileCrcOffset);
-  uint64_t actual_crc = FileCrc(data_, size_);
+  crc_ = LoadU64(data + kFileCrcOffset);
+  uint64_t actual_crc = FileCrc(data, size);
   if (crc_ != actual_crc) {
     REVISE_OBS_COUNTER("artifact.checksum_failures").Increment();
     return InvalidArgumentError("artifact checksum mismatch (file CRC-64)");
   }
-  version_ = LoadU32(data_ + kVersionOffset);
+  version_ = LoadU32(data + kVersionOffset);
   if (version_ != kFormatVersion) {
     return InvalidArgumentError(
         "unsupported artifact format version " + std::to_string(version_) +
         " (this build reads version " + std::to_string(kFormatVersion) +
         ")");
   }
-  uint32_t count = LoadU32(data_ + 12);
+  uint32_t count = LoadU32(data + 12);
   if (count > kMaxSections) {
     return InvalidArgumentError("artifact section count " +
                                 std::to_string(count) + " out of range");
   }
   size_t table_end = kHeaderSize + size_t{count} * kSectionEntrySize;
-  if (table_end > size_) {
+  if (table_end > size) {
     return InvalidArgumentError("artifact section table truncated");
   }
   sections_.clear();
   sections_.reserve(count);
   for (uint32_t i = 0; i < count; ++i) {
-    const uint8_t* entry = data_ + kHeaderSize + i * kSectionEntrySize;
+    const uint8_t* entry = data + kHeaderSize + i * kSectionEntrySize;
     Section section;
     section.id = static_cast<SectionId>(LoadU32(entry));
     section.offset = LoadU64(entry + 8);
     section.size = LoadU64(entry + 16);
     section.crc = LoadU64(entry + 24);
     if (section.offset % kSectionAlignment != 0 ||
-        section.offset < table_end || section.offset > size_ ||
-        section.size > size_ - section.offset) {
+        section.offset < table_end || section.offset > size ||
+        section.size > size - section.offset) {
       return InvalidArgumentError(
           "artifact section " + std::string(SectionIdName(section.id)) +
           " out of bounds");
@@ -389,7 +304,7 @@ Status ArtifactFile::Validate() {
     }
     // Redundant with the file CRC, but keeps section-level blame: a
     // mismatch here names the damaged section.
-    uint64_t section_crc = Crc64(data_ + section.offset, section.size);
+    uint64_t section_crc = Crc64(data + section.offset, section.size);
     if (section_crc != section.crc) {
       REVISE_OBS_COUNTER("artifact.checksum_failures").Increment();
       return InvalidArgumentError(

@@ -18,7 +18,7 @@
 //                   u32 id, u32 reserved, u64 offset, u64 size, u64 crc
 //    .....        section payloads, each starting on a 64-byte boundary
 //                 (zero padding between), so packed 64-bit model rows can
-//                 be read in place from an mmap
+//                 be read in place
 //
 // The loader validates magic, declared size, the whole-file checksum, the
 // format version, section-table bounds and every per-section checksum
@@ -27,10 +27,9 @@
 // size, crc offsets) is frozen across format versions so that version
 // mismatches are always reported cleanly.
 //
-// Reads prefer mmap (zero-parse access to the packed sections); when the
-// platform lacks mmap, the map fails, or REVISE_ARTIFACT_MMAP=0 is set,
-// the file is streamed into an owned buffer instead.  Both paths give out
-// the same pointers-into-a-buffer view.
+// A read loads the whole file into one owned buffer (util/file.h) and
+// validates it there; payloads are handed out as pointers into that
+// buffer.
 
 #ifndef REVISE_ARTIFACT_ARTIFACT_H_
 #define REVISE_ARTIFACT_ARTIFACT_H_
@@ -62,7 +61,7 @@ enum class SectionId : uint32_t {
   kVocabulary = 1,  // interned names, id order
   kFormulas = 2,    // structurally deduplicated formula node table
   kModelMeta = 3,   // alphabet + packed-row geometry
-  kModelRows = 4,   // raw PackedModelMatrix rows (the mmap fast path)
+  kModelRows = 4,   // raw PackedModelMatrix rows, read in place
   kBdd = 5,         // variable order + node table + root
   kKbMeta = 6,      // operator, strategy, formula roots
 };
@@ -137,8 +136,9 @@ class ArtifactWriter {
   std::vector<Pending> sections_;
 };
 
-// A validated, opened artifact.  Owns either an mmap or a buffer; hands
-// out borrowed pointers into it.  Move-only.
+// A validated, opened artifact.  Owns the file's bytes; hands out
+// borrowed pointers into them, which stay valid when the ArtifactFile is
+// moved.  Move-only.
 class ArtifactFile {
  public:
   struct Section {
@@ -152,40 +152,33 @@ class ArtifactFile {
   // FromBytes.  Exists so owners can default-construct and move-assign.
   ArtifactFile() = default;
 
-  // Opens and fully validates (checksums included).  Every corrupt-file
-  // error is InvalidArgument with a message naming the failed check.
+  // Reads the whole file, then validates it as FromBytes does.  A path
+  // that cannot be read (missing, a directory, a FIFO, an I/O error) is
+  // reported as util::ReadFileBytes reports it; every corrupt-file error
+  // is InvalidArgument with a message naming the failed check.
   static StatusOr<ArtifactFile> Open(const std::string& path);
-  // Validates an in-memory image (always "streamed"; used by tests and
-  // the fuzz oracle's corruption probes).
+  // Validates an in-memory image (checksums included).
   static StatusOr<ArtifactFile> FromBytes(std::vector<uint8_t> bytes);
 
-  ArtifactFile(ArtifactFile&& other) noexcept;
-  ArtifactFile& operator=(ArtifactFile&& other) noexcept;
+  ArtifactFile(ArtifactFile&&) noexcept = default;
+  ArtifactFile& operator=(ArtifactFile&&) noexcept = default;
   ArtifactFile(const ArtifactFile&) = delete;
   ArtifactFile& operator=(const ArtifactFile&) = delete;
-  ~ArtifactFile();
 
   uint32_t format_version() const { return version_; }
-  size_t file_size() const { return size_; }
+  size_t file_size() const { return bytes_.size(); }
   uint64_t file_crc() const { return crc_; }
-  // True when the payloads are served straight from an mmap.
-  bool mapped() const { return map_base_ != nullptr; }
 
   const std::vector<Section>& sections() const { return sections_; }
   const Section* Find(SectionId id) const;
   const uint8_t* SectionData(const Section& section) const {
-    return data_ + section.offset;
+    return bytes_.data() + section.offset;
   }
 
  private:
   Status Validate();
-  void Release();
 
-  const uint8_t* data_ = nullptr;
-  size_t size_ = 0;
-  void* map_base_ = nullptr;  // non-null iff mmap-backed
-  size_t map_size_ = 0;
-  std::vector<uint8_t> owned_;  // used iff streamed
+  std::vector<uint8_t> bytes_;
   std::vector<Section> sections_;
   uint32_t version_ = 0;
   uint64_t crc_ = 0;

@@ -386,7 +386,6 @@ Status KbArtifact::DecodeMeta() {
   info_.format_version = file_.format_version();
   info_.file_size = file_.file_size();
   info_.file_crc = file_.file_crc();
-  info_.mapped = file_.mapped();
 
   const ArtifactFile::Section* vocab = file_.Find(SectionId::kVocabulary);
   const ArtifactFile::Section* formulas = file_.Find(SectionId::kFormulas);
@@ -656,7 +655,7 @@ Status KbArtifact::VerifyPackedSections() const {
   // DecodeMeta already enforced canonical row order, zero padding and BDD
   // shape; here the two representations are played against each other:
   // every stored model must satisfy the stored BDD (Definition 7.1's ASK
-  // run directly on the mapped bytes).
+  // run directly on the stored bytes).
   for (size_t r = 0; r < rows_; ++r) {
     if (!AskPackedRow(r)) {
       return InvalidArgumentError(

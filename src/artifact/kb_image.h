@@ -5,8 +5,8 @@
 // structures that make cold starts cheap:
 //
 //  * the canonical ModelSet of the revised knowledge base, packed in the
-//    PackedModelMatrix row layout so the loader can hand rows straight
-//    out of an mmap, and
+//    PackedModelMatrix row layout so the loader can read rows in place
+//    from the file buffer, and
 //  * the canonical ROBDD of that model set (Definition 7.1's data
 //    structure D with its polynomial ASK), evaluable directly against
 //    the on-disk node table without materializing anything.
@@ -91,7 +91,6 @@ struct ArtifactInfo {
   uint32_t format_version = 0;
   uint64_t file_size = 0;
   uint64_t file_crc = 0;
-  bool mapped = false;
   std::vector<SectionInfo> sections;
   std::string operator_name;
   std::string strategy_name;
@@ -110,9 +109,9 @@ Status WriteKbArtifact(const KbImage& image, const Vocabulary& vocabulary,
                        const std::string& path);
 
 // An opened, checksum-validated artifact with its metadata decoded.  The
-// packed model rows and the BDD node table stay in the (mmap-backed when
-// possible) file buffer and are consumed in place; Materialize() is the
-// only call that copies them out.
+// packed model rows and the BDD node table stay in the file buffer and
+// are consumed in place; Materialize() is the only call that copies them
+// out.
 class KbArtifact {
  public:
   static StatusOr<KbArtifact> Open(const std::string& path);
@@ -121,8 +120,6 @@ class KbArtifact {
   KbArtifact& operator=(KbArtifact&&) noexcept = default;
 
   const ArtifactInfo& info() const { return info_; }
-  // True when the packed sections are served from an mmap.
-  bool mapped() const { return file_.mapped(); }
 
   size_t model_rows() const { return rows_; }
   size_t model_bits() const { return alphabet_.size(); }

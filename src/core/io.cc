@@ -5,6 +5,7 @@
 
 #include "logic/parser.h"
 #include "logic/printer.h"
+#include "util/file.h"
 
 namespace revise {
 
@@ -49,13 +50,11 @@ std::string TheoryToText(const Theory& theory,
 
 StatusOr<Theory> LoadTheoryFromFile(const std::string& path,
                                     Vocabulary* vocabulary) {
-  std::ifstream in(path);
-  if (!in) {
-    return NotFoundError("cannot open " + path);
+  StatusOr<std::string> text = util::ReadFileText(path);
+  if (!text.ok()) {
+    return text.status();
   }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return TheoryFromText(buffer.str(), vocabulary);
+  return TheoryFromText(*text, vocabulary);
 }
 
 Status SaveTheoryToFile(const Theory& theory, const Vocabulary& vocabulary,

@@ -4,13 +4,13 @@
 #include <cctype>
 #include <cstdlib>
 #include <filesystem>
-#include <fstream>
 #include <memory>
 #include <set>
 #include <sstream>
 #include <utility>
 
 #include "logic/printer.h"
+#include "util/file.h"
 
 namespace revise::fuzz {
 
@@ -113,11 +113,9 @@ StatusOr<CorpusEntry> ParseEntry(const std::string& text) {
 }
 
 StatusOr<CorpusEntry> LoadEntry(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return NotFoundError("cannot read corpus file " + path);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  StatusOr<CorpusEntry> entry = ParseEntry(buffer.str());
+  StatusOr<std::string> text = util::ReadFileText(path);
+  if (!text.ok()) return text.status();
+  StatusOr<CorpusEntry> entry = ParseEntry(*text);
   if (!entry.ok()) {
     return Status(entry.status().code(),
                   path + ": " + entry.status().message());

@@ -19,7 +19,6 @@
 #include "compact/single_revision.h"
 #include "core/kb_artifact.h"
 #include "core/knowledge_base.h"
-#include "kernel/kernels.h"
 #include "logic/evaluate.h"
 #include "logic/parser.h"
 #include "logic/printer.h"
@@ -250,11 +249,29 @@ std::optional<std::string> BruteForceModelsOracle(const Scenario& s) {
   return std::nullopt;
 }
 
+// Pins the library's thread count for a scope, restoring the caller's
+// count on exit.
+class ScopedThreadOverride {
+ public:
+  explicit ScopedThreadOverride(size_t threads) : saved_(ParallelThreads()) {
+    SetParallelThreadsOverride(threads);
+  }
+  ~ScopedThreadOverride() { SetParallelThreadsOverride(saved_); }
+  ScopedThreadOverride(const ScopedThreadOverride&) = delete;
+  ScopedThreadOverride& operator=(const ScopedThreadOverride&) = delete;
+
+ private:
+  const size_t saved_;
+};
+
 std::optional<std::string> OperatorReferenceOracle(const Scenario& s) {
   const Alphabet x = RevisionAlphabet(s.t, s.p);
   if (x.size() > kMaxOracleAlphabet) return std::nullopt;
   const ModelSet mt = EnumerateModels(s.t.AsFormula(), x, 0);
   const ModelSet mp = EnumerateModels(s.p, x, 0);
+  // At a parallel thread count, so the kernels' tile sharding and merges
+  // are checked against the reference too.
+  ScopedThreadOverride three(3);
   for (const ModelBasedOperator* op : AllModelBasedOperators()) {
     const ModelSet got = op->ReviseModelSets(mt, mp);
     const ModelSet want = RefModels(op->id(), mt, mp);
@@ -272,16 +289,6 @@ std::optional<std::string> OperatorReferenceOracle(const Scenario& s) {
   }
   return std::nullopt;
 }
-
-class ScopedThreadOverride {
- public:
-  explicit ScopedThreadOverride(size_t threads) {
-    SetParallelThreadsOverride(threads);
-  }
-  ~ScopedThreadOverride() { SetParallelThreadsOverride(0); }
-  ScopedThreadOverride(const ScopedThreadOverride&) = delete;
-  ScopedThreadOverride& operator=(const ScopedThreadOverride&) = delete;
-};
 
 std::optional<std::string> ThreadCountOracle(const Scenario& s) {
   const Alphabet x = RevisionAlphabet(s.t, s.p);
@@ -304,67 +311,6 @@ std::optional<std::string> ThreadCountOracle(const Scenario& s) {
              ": 1-thread and 3-thread results differ (" +
              SetSizes(parallel, sequential) +
              "); a merge is not canonicalizing";
-    }
-  }
-  return std::nullopt;
-}
-
-// Flips the packed-kernel routing switch for a scope, restoring the
-// previous state on exit.
-class ScopedPackedKernels {
- public:
-  explicit ScopedPackedKernels(bool enabled)
-      : saved_(kernel::PackedKernelsEnabled()) {
-    kernel::SetPackedKernelsEnabled(enabled);
-  }
-  ~ScopedPackedKernels() { kernel::SetPackedKernelsEnabled(saved_); }
-  ScopedPackedKernels(const ScopedPackedKernels&) = delete;
-  ScopedPackedKernels& operator=(const ScopedPackedKernels&) = delete;
-
- private:
-  const bool saved_;
-};
-
-std::optional<std::string> PackedKernelsOracle(const Scenario& s) {
-  const Alphabet x = RevisionAlphabet(s.t, s.p);
-  if (x.size() > kMaxOracleAlphabet) return std::nullopt;
-  const ModelSet mt = EnumerateModels(s.t.AsFormula(), x, 0);
-  const ModelSet mp = EnumerateModels(s.p, x, 0);
-  for (const ModelBasedOperator* op : AllModelBasedOperators()) {
-    // Model-set path: packed bit-matrix sweeps (at a parallel thread
-    // count, so tile sharding is exercised) vs the scalar loops.
-    ModelSet scalar;
-    ModelSet packed;
-    {
-      ScopedPackedKernels off(false);
-      scalar = op->ReviseModelSets(mt, mp);
-    }
-    {
-      ScopedPackedKernels on(true);
-      ScopedThreadOverride three(3);
-      packed = op->ReviseModelSets(mt, mp);
-    }
-    if (!(scalar == packed)) {
-      return std::string(op->name()) +
-             ": packed kernels disagree with the scalar loops (" +
-             SetSizes(packed, scalar) + ")";
-    }
-    // Formula path: the mask kernels in the candidate enumeration.
-    ModelSet scalar_masks;
-    ModelSet packed_masks;
-    {
-      ScopedPackedKernels off(false);
-      scalar_masks = op->ReviseModels(s.t, s.p, x);
-    }
-    {
-      ScopedPackedKernels on(true);
-      packed_masks = op->ReviseModels(s.t, s.p, x);
-    }
-    if (!(scalar_masks == packed_masks)) {
-      return std::string(op->name()) +
-             ": packed mask kernels disagree with the scalar candidate "
-             "loops (" +
-             SetSizes(packed_masks, scalar_masks) + ")";
     }
   }
   return std::nullopt;
@@ -687,13 +633,10 @@ const std::vector<Oracle> kOracles = {
      "AllSAT enumeration vs a truth-table sweep of Evaluate",
      BruteForceModelsOracle},
     {"operator-reference",
-     "the six operator kernels vs naive reference semantics",
+     "the six operator kernels at 3 threads vs naive reference semantics",
      OperatorReferenceOracle},
     {"thread-count", "ReviseModelSets at 1 thread vs 3 threads",
      ThreadCountOracle},
-    {"packed-kernels",
-     "packed bit-matrix kernels vs the scalar Interpretation loops",
-     PackedKernelsOracle},
     {"model-cache", "enumeration with the global cache cold/warm/disabled",
      ModelCacheOracle},
     {"bdd-vs-enumeration", "ROBDD model count and canonicity vs AllSAT",

@@ -16,13 +16,13 @@ namespace {
 // keep both tiles resident in L1 while a tile's 32x32 pairs amortize the
 // bound refresh.
 constexpr size_t kTileRows = 32;
-// Below ~2048 pairs (or 8 selection rows) a sweep runs single-shard; the
-// same grains the scalar kernels use, so shard decompositions — and with
-// them any shard-order-sensitive merge — stay comparable.
+// Below ~2048 pairs (or 8 selection rows) a sweep runs single-shard:
+// smaller sweeps finish before a shard hand-off would pay for itself.
 constexpr size_t kPairGrain = 2048;
 constexpr size_t kSelectionGrain = 8;
 
-std::atomic<bool> g_packed_enabled{true};
+// Which end of the inclusion order a minc / maxc sweep keeps.
+enum class Extremum { kMinimal, kMaximal };
 
 // --- row helpers (all lengths in words_used / blocks of the matrices) ---
 
@@ -107,64 +107,57 @@ size_t GrainForPairs(size_t inner_rows) {
   return std::max<size_t>(1, kPairGrain / std::max<size_t>(1, inner_rows));
 }
 
-// Indices (into m) of the unique inclusion-minimal rows, in lexicographic
-// order: the packed mirror of model_set.cc's cardinality-bucket sweep.  A
-// proper subset has strictly smaller cardinality, so candidates are only
-// tested against minima from strictly smaller popcount buckets.
-std::vector<size_t> MinimalRowIndices(const PackedModelMatrix& m) {
-  const size_t words = m.words_used();
-  const size_t blocks = m.blocks();
-  std::vector<size_t> order(m.rows());
-  std::iota(order.begin(), order.end(), size_t{0});
-  std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-    return RowLess(m.row(a), m.row(b), words);
-  });
-  std::vector<size_t> uniq;
-  uniq.reserve(order.size());
-  for (const size_t r : order) {
-    if (uniq.empty() || !RowEq(m.row(uniq.back()), m.row(r), words)) {
-      uniq.push_back(r);
-    }
-  }
-  std::vector<size_t> cards(uniq.size());
-  for (size_t i = 0; i < uniq.size(); ++i) {
-    cards[i] = RowPopcount(m.row(uniq[i]), blocks);
-  }
-  std::vector<size_t> by_card(uniq.size());
+// The cardinality-bucket sweep behind every minc / maxc kernel.  Items
+// are 0 .. cards.size()-1 with popcounts `cards`; subset(x, y) tests item
+// x subseteq item y.  A proper subset has strictly smaller cardinality, so
+// sweeping the buckets upward (minimal) or downward (maximal) tests each
+// candidate only against the extrema found in earlier buckets:
+// |result| * n subset tests instead of n^2.  Items must be unique; the
+// extremal ones come back in ascending item order.
+template <typename Subset>
+std::vector<size_t> ExtremalIndices(const std::vector<size_t>& cards,
+                                    Extremum which, const Subset& subset) {
+  std::vector<size_t> by_card(cards.size());
   std::iota(by_card.begin(), by_card.end(), size_t{0});
   std::stable_sort(by_card.begin(), by_card.end(),
                    [&](size_t a, size_t b) { return cards[a] < cards[b]; });
-  std::vector<char> keep(uniq.size(), 0);
-  std::vector<size_t> minima;  // row indices of found minima
+  if (which == Extremum::kMaximal) {
+    std::reverse(by_card.begin(), by_card.end());
+  }
+  std::vector<char> keep(cards.size(), 0);
+  std::vector<size_t> found;
   size_t i = 0;
   while (i < by_card.size()) {
     const size_t card = cards[by_card[i]];
-    const size_t bucket_begin = minima.size();
+    const size_t bucket_begin = found.size();
     for (; i < by_card.size() && cards[by_card[i]] == card; ++i) {
-      const uint64_t* candidate = m.row(uniq[by_card[i]]);
-      bool minimal = true;
+      const size_t candidate = by_card[i];
+      bool extremal = true;
       for (size_t k = 0; k < bucket_begin; ++k) {
-        if (RowSubset(m.row(minima[k]), candidate, blocks)) {
-          minimal = false;
+        if (which == Extremum::kMinimal ? subset(found[k], candidate)
+                                        : subset(candidate, found[k])) {
+          extremal = false;
           break;
         }
       }
-      if (minimal) {
-        keep[by_card[i]] = 1;
-        minima.push_back(uniq[by_card[i]]);
+      if (extremal) {
+        keep[candidate] = 1;
+        found.push_back(candidate);
       }
     }
   }
   std::vector<size_t> result;
-  result.reserve(minima.size());
-  for (size_t j = 0; j < uniq.size(); ++j) {
-    if (keep[j]) result.push_back(uniq[j]);  // uniq is in lex order
+  result.reserve(found.size());
+  for (size_t j = 0; j < keep.size(); ++j) {
+    if (keep[j]) result.push_back(j);
   }
   return result;
 }
 
-// Mirror image for maximal rows: sweep popcount buckets downward.
-std::vector<size_t> MaximalRowIndices(const PackedModelMatrix& m) {
+// Indices (into m) of the unique inclusion-extremal rows, in
+// lexicographic order.
+std::vector<size_t> ExtremalRowIndices(const PackedModelMatrix& m,
+                                       Extremum which) {
   const size_t words = m.words_used();
   const size_t blocks = m.blocks();
   std::vector<size_t> order(m.rows());
@@ -183,36 +176,29 @@ std::vector<size_t> MaximalRowIndices(const PackedModelMatrix& m) {
   for (size_t i = 0; i < uniq.size(); ++i) {
     cards[i] = RowPopcount(m.row(uniq[i]), blocks);
   }
-  std::vector<size_t> by_card(uniq.size());
-  std::iota(by_card.begin(), by_card.end(), size_t{0});
-  std::stable_sort(by_card.begin(), by_card.end(),
-                   [&](size_t a, size_t b) { return cards[a] < cards[b]; });
-  std::vector<char> keep(uniq.size(), 0);
-  std::vector<size_t> maxima;
-  size_t i = by_card.size();
-  while (i > 0) {
-    const size_t card = cards[by_card[i - 1]];
-    const size_t bucket_begin = maxima.size();
-    for (; i > 0 && cards[by_card[i - 1]] == card; --i) {
-      const uint64_t* candidate = m.row(uniq[by_card[i - 1]]);
-      bool maximal = true;
-      for (size_t k = 0; k < bucket_begin; ++k) {
-        if (RowSubset(candidate, m.row(maxima[k]), blocks)) {
-          maximal = false;
-          break;
-        }
-      }
-      if (maximal) {
-        keep[by_card[i - 1]] = 1;
-        maxima.push_back(uniq[by_card[i - 1]]);
-      }
-    }
-  }
-  std::vector<size_t> result;
-  result.reserve(maxima.size());
-  for (size_t j = 0; j < uniq.size(); ++j) {
-    if (keep[j]) result.push_back(uniq[j]);
-  }
+  std::vector<size_t> result =
+      ExtremalIndices(cards, which, [&](size_t x, size_t y) {
+        return RowSubset(m.row(uniq[x]), m.row(uniq[y]), blocks);
+      });
+  for (size_t& r : result) r = uniq[r];  // uniq is in lex order
+  return result;
+}
+
+// The unique inclusion-extremal masks, sorted ascending.
+std::vector<uint64_t> ExtremalMasks(std::vector<uint64_t> masks,
+                                    Extremum which) {
+  std::sort(masks.begin(), masks.end());
+  masks.erase(std::unique(masks.begin(), masks.end()), masks.end());
+  if (masks.size() <= 1) return masks;
+  std::vector<size_t> cards(masks.size());
+  for (size_t i = 0; i < masks.size(); ++i) cards[i] = PopcountWord(masks[i]);
+  const std::vector<size_t> kept =
+      ExtremalIndices(cards, which, [&](size_t x, size_t y) {
+        return (masks[x] & ~masks[y]) == 0;
+      });
+  std::vector<uint64_t> result;
+  result.reserve(kept.size());
+  for (const size_t j : kept) result.push_back(masks[j]);
   return result;
 }
 
@@ -225,64 +211,40 @@ std::vector<Interpretation> RowsToInterpretations(
   return out;
 }
 
-// The unique inclusion-maximal masks, sorted ascending (mirror of
-// MinimalMasks).
-std::vector<uint64_t> MaximalMasks(std::vector<uint64_t> masks) {
-  std::sort(masks.begin(), masks.end());
-  masks.erase(std::unique(masks.begin(), masks.end()), masks.end());
-  if (masks.size() <= 1) return masks;
-  std::vector<size_t> cards(masks.size());
-  for (size_t i = 0; i < masks.size(); ++i) cards[i] = PopcountWord(masks[i]);
-  std::vector<size_t> by_card(masks.size());
-  std::iota(by_card.begin(), by_card.end(), size_t{0});
-  std::stable_sort(by_card.begin(), by_card.end(),
-                   [&](size_t a, size_t b) { return cards[a] < cards[b]; });
-  std::vector<char> keep(masks.size(), 0);
-  std::vector<uint64_t> maxima;
-  size_t i = by_card.size();
-  while (i > 0) {
-    const size_t card = cards[by_card[i - 1]];
-    const size_t bucket_begin = maxima.size();
-    for (; i > 0 && cards[by_card[i - 1]] == card; --i) {
-      const uint64_t candidate = masks[by_card[i - 1]];
-      bool maximal = true;
-      for (size_t k = 0; k < bucket_begin; ++k) {
-        if ((candidate & ~maxima[k]) == 0) {
-          maximal = false;
-          break;
-        }
-      }
-      if (maximal) {
-        keep[by_card[i - 1]] = 1;
-        maxima.push_back(candidate);
-      }
-    }
-  }
-  std::vector<uint64_t> result;
-  result.reserve(maxima.size());
-  for (size_t j = 0; j < masks.size(); ++j) {
-    if (keep[j]) result.push_back(masks[j]);
-  }
-  return result;
-}
-
 // First word of an interpretation of <= 64 letters (0 for the empty
 // alphabet, whose word vector is empty).
 uint64_t Word0(const Interpretation& m) {
   return m.words().empty() ? 0 : m.words()[0];
 }
 
+// The unique inclusion-extremal elements of `sets`, in lexicographic
+// order: raw uint64 values when the width allows, packed rows otherwise.
+std::vector<Interpretation> ExtremalInterpretations(
+    std::vector<Interpretation> sets, Extremum which) {
+  if (sets.empty()) return {};
+  const size_t bits = sets[0].size();
+  if (bits <= 64) {
+    std::vector<uint64_t> values;
+    values.reserve(sets.size());
+    for (const Interpretation& m : sets) {
+      REVISE_DCHECK_EQ(m.size(), bits);
+      values.push_back(Word0(m));
+    }
+    const std::vector<uint64_t> kept = ExtremalMasks(std::move(values), which);
+    std::vector<Interpretation> result;
+    result.reserve(kept.size());
+    for (const uint64_t value : kept) {
+      result.push_back(Interpretation::FromWords(bits, &value));
+    }
+    return result;
+  }
+  const PackedModelMatrix packed = PackedModelMatrix::FromModels(bits, sets);
+  return RowsToInterpretations(packed, ExtremalRowIndices(packed, which));
+}
+
 }  // namespace
 
 const char* ActiveSimdPath() { return SimdPathName(); }
-
-void SetPackedKernelsEnabled(bool enabled) {
-  g_packed_enabled.store(enabled, std::memory_order_relaxed);
-}
-
-bool PackedKernelsEnabled() {
-  return g_packed_enabled.load(std::memory_order_relaxed);
-}
 
 size_t MinDistanceOfSets(const PackedModelMatrix& a,
                          const PackedModelMatrix& b, size_t cap) {
@@ -428,7 +390,8 @@ std::vector<Interpretation> MinimalDiffsOfSets(const PackedModelMatrix& a,
                 for (size_t w = 0; w < stride; ++w) d[w] = x[w] ^ y[w];
               }
             }
-            return RowsToInterpretations(diffs, MinimalRowIndices(diffs));
+            return RowsToInterpretations(
+                diffs, ExtremalRowIndices(diffs, Extremum::kMinimal));
           });
   if (shards.size() == 1) return std::move(shards[0]);
   std::vector<Interpretation> merged;
@@ -583,7 +546,8 @@ std::vector<uint32_t> SelectPointwiseMinimalDiffs(const PackedModelMatrix& t,
             uint64_t* d = diffs.row(j);
             for (size_t w = 0; w < stride; ++w) d[w] = x[w] ^ y[w];
           }
-          const std::vector<size_t> mu = MinimalRowIndices(diffs);
+          const std::vector<size_t> mu =
+              ExtremalRowIndices(diffs, Extremum::kMinimal);
           for (size_t j = 0; j < p.rows(); ++j) {
             // mu rows are in lex order; membership by binary search.
             size_t lo = 0;
@@ -627,87 +591,16 @@ std::vector<uint32_t> SelectPointwiseMinDistance(const PackedModelMatrix& t,
 
 std::vector<Interpretation> MinimalInterpretations(
     std::vector<Interpretation> sets) {
-  if (sets.empty()) return {};
-  const size_t bits = sets[0].size();
-  if (bits <= 64) {
-    std::vector<uint64_t> values;
-    values.reserve(sets.size());
-    for (const Interpretation& m : sets) {
-      REVISE_DCHECK_EQ(m.size(), bits);
-      values.push_back(Word0(m));
-    }
-    const std::vector<uint64_t> minimal = MinimalMasks(std::move(values));
-    std::vector<Interpretation> result;
-    result.reserve(minimal.size());
-    for (const uint64_t value : minimal) {
-      result.push_back(Interpretation::FromWords(bits, &value));
-    }
-    return result;
-  }
-  const PackedModelMatrix packed = PackedModelMatrix::FromModels(bits, sets);
-  return RowsToInterpretations(packed, MinimalRowIndices(packed));
+  return ExtremalInterpretations(std::move(sets), Extremum::kMinimal);
 }
 
 std::vector<Interpretation> MaximalInterpretations(
     std::vector<Interpretation> sets) {
-  if (sets.empty()) return {};
-  const size_t bits = sets[0].size();
-  if (bits <= 64) {
-    std::vector<uint64_t> values;
-    values.reserve(sets.size());
-    for (const Interpretation& m : sets) {
-      REVISE_DCHECK_EQ(m.size(), bits);
-      values.push_back(Word0(m));
-    }
-    const std::vector<uint64_t> maximal = MaximalMasks(std::move(values));
-    std::vector<Interpretation> result;
-    result.reserve(maximal.size());
-    for (const uint64_t value : maximal) {
-      result.push_back(Interpretation::FromWords(bits, &value));
-    }
-    return result;
-  }
-  const PackedModelMatrix packed = PackedModelMatrix::FromModels(bits, sets);
-  return RowsToInterpretations(packed, MaximalRowIndices(packed));
+  return ExtremalInterpretations(std::move(sets), Extremum::kMaximal);
 }
 
 std::vector<uint64_t> MinimalMasks(std::vector<uint64_t> masks) {
-  std::sort(masks.begin(), masks.end());
-  masks.erase(std::unique(masks.begin(), masks.end()), masks.end());
-  if (masks.size() <= 1) return masks;
-  std::vector<size_t> cards(masks.size());
-  for (size_t i = 0; i < masks.size(); ++i) cards[i] = PopcountWord(masks[i]);
-  std::vector<size_t> by_card(masks.size());
-  std::iota(by_card.begin(), by_card.end(), size_t{0});
-  std::stable_sort(by_card.begin(), by_card.end(),
-                   [&](size_t a, size_t b) { return cards[a] < cards[b]; });
-  std::vector<char> keep(masks.size(), 0);
-  std::vector<uint64_t> minima;
-  size_t i = 0;
-  while (i < by_card.size()) {
-    const size_t card = cards[by_card[i]];
-    const size_t bucket_begin = minima.size();
-    for (; i < by_card.size() && cards[by_card[i]] == card; ++i) {
-      const uint64_t candidate = masks[by_card[i]];
-      bool minimal = true;
-      for (size_t k = 0; k < bucket_begin; ++k) {
-        if ((minima[k] & ~candidate) == 0) {
-          minimal = false;
-          break;
-        }
-      }
-      if (minimal) {
-        keep[by_card[i]] = 1;
-        minima.push_back(candidate);
-      }
-    }
-  }
-  std::vector<uint64_t> result;
-  result.reserve(minima.size());
-  for (size_t j = 0; j < masks.size(); ++j) {
-    if (keep[j]) result.push_back(masks[j]);
-  }
-  return result;
+  return ExtremalMasks(std::move(masks), Extremum::kMinimal);
 }
 
 size_t MinPopcount(const std::vector<uint64_t>& masks, size_t fallback) {

@@ -5,23 +5,20 @@
 // bit-matrix rows instead of one-Interpretation-at-a-time calls.  The
 // callers' contract, in both directions:
 //
-//   * bit-identical results: every function here computes exactly the
-//     value the scalar Interpretation reference computes, at every thread
-//     count and on every SIMD path (off / swar / avx2 / neon).  Selection
-//     kernels return ascending or m-major index lists whose order matches
-//     the scalar selection loops; minimal/maximal kernels return the
-//     canonical (lexicographic) order MinimalUnderInclusion returns.
+//   * one answer everywhere: every function here computes the paper's
+//     quantity exactly, with the same bits at every thread count and on
+//     every SIMD path (off / swar / avx2 / neon).  These kernels are the
+//     only production implementation; the naive references in
+//     src/fuzz/oracles.cc and tests/kernel_test.cc check them.  Selection
+//     kernels return ascending or m-major index lists; minimal/maximal
+//     kernels return the canonical (lexicographic) order that
+//     MinimalUnderInclusion documents.
 //   * parallelism is internal: kernels shard over row tiles with
 //     ParallelMapRanges and merge deterministically, so callers never see
 //     the thread count.
 //   * matrices passed together must have the same bits() (they come from
 //     model sets over one alphabet); this is DCHECKed, not CHECKed —
 //     validation belongs at the operator boundary, not in the sweeps.
-//
-// The scalar reference stays available at runtime: SetPackedKernelsEnabled
-// (false) makes the routed call sites in model/, revision/ fall back to
-// their original Interpretation loops, which is how the bench measures
-// seq_ms vs seq_packed_ms and how the fuzz oracle cross-checks the two.
 
 #ifndef REVISE_KERNEL_KERNELS_H_
 #define REVISE_KERNEL_KERNELS_H_
@@ -39,13 +36,6 @@ namespace revise::kernel {
 // "avx2" or "neon"), i.e. the REVISE_SIMD CMake option after compile-time
 // ISA dispatch.
 const char* ActiveSimdPath();
-
-// Process-wide routing switch: when false, the call sites in model/ and
-// revision/ use their scalar Interpretation loops instead of these
-// kernels.  Benches and tests flip it to compare the two paths; defaults
-// to enabled.
-void SetPackedKernelsEnabled(bool enabled);
-bool PackedKernelsEnabled();
 
 // min over all pairs (i, j) of |a_i delta b_j|, clamped at `cap`: returns
 // `cap` when every pair differs in more than cap - 1 letters (and for
@@ -69,9 +59,7 @@ std::vector<uint32_t> SelectWithinDistance(const PackedModelMatrix& p,
                                            size_t k);
 
 // The inclusion-minimal symmetric differences over all pairs
-// (delta(T, P) of the paper), in canonical lexicographic order —
-// bit-identical to MinimalUnderInclusion over the materialized pairwise
-// differences.
+// (delta(T, P) of the paper), in canonical lexicographic order.
 std::vector<Interpretation> MinimalDiffsOfSets(const PackedModelMatrix& a,
                                                const PackedModelMatrix& b);
 
@@ -90,8 +78,7 @@ std::vector<uint32_t> SelectWithinMask(const PackedModelMatrix& p,
 
 // For each t-row m in turn: indices j of p-rows n with m delta n minimal
 // under inclusion among {m delta n' : n' in p} (the Winslett selection).
-// m-major concatenation, possibly with repeated j across different m —
-// exactly the order the scalar selection loop pushes models.
+// m-major concatenation, possibly with repeated j across different m.
 std::vector<uint32_t> SelectPointwiseMinimalDiffs(const PackedModelMatrix& t,
                                                   const PackedModelMatrix& p);
 
@@ -100,9 +87,10 @@ std::vector<uint32_t> SelectPointwiseMinimalDiffs(const PackedModelMatrix& t,
 std::vector<uint32_t> SelectPointwiseMinDistance(const PackedModelMatrix& t,
                                                  const PackedModelMatrix& p);
 
-// Packed MinimalUnderInclusion / MaximalUnderInclusion: the unique
-// inclusion-minimal (resp. -maximal) elements of `sets`, in canonical
-// lexicographic order.  All elements must have the same size().
+// The implementation of MinimalUnderInclusion / MaximalUnderInclusion
+// (model/model_set.h): the unique inclusion-minimal (resp. -maximal)
+// elements of `sets`, in canonical lexicographic order.  All elements must
+// have the same size().
 std::vector<Interpretation> MinimalInterpretations(
     std::vector<Interpretation> sets);
 std::vector<Interpretation> MaximalInterpretations(

@@ -58,113 +58,14 @@ ModelSet ModelSet::ProjectTo(const Alphabet& target) const {
   return ModelSet(target, std::move(projected));
 }
 
-namespace {
-
-// Deduplicates `sets` in place and returns the index order sorted by
-// cardinality (ascending).  A proper subset always has strictly smaller
-// cardinality, so both extremal filters below only compare candidates
-// against elements from strictly smaller/larger cardinality buckets.
-std::vector<size_t> CanonicalizeAndOrderByCardinality(
-    std::vector<Interpretation>* sets, std::vector<size_t>* cards) {
-  // The subset sweeps below only make sense over a uniform width; mixed
-  // widths would silently compare interpretations of different alphabets.
-  for (size_t i = 1; i < sets->size(); ++i) {
-    REVISE_DCHECK_EQ((*sets)[i].size(), (*sets)[0].size());
-  }
-  std::sort(sets->begin(), sets->end());
-  sets->erase(std::unique(sets->begin(), sets->end()), sets->end());
-  cards->resize(sets->size());
-  for (size_t i = 0; i < sets->size(); ++i) {
-    (*cards)[i] = (*sets)[i].Cardinality();
-  }
-  std::vector<size_t> order(sets->size());
-  for (size_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-    return (*cards)[a] < (*cards)[b];
-  });
-  return order;
-}
-
-}  // namespace
-
 std::vector<Interpretation> MinimalUnderInclusion(
     std::vector<Interpretation> sets) {
-  // The packed layer runs the same cardinality-bucket sweep over bit-matrix
-  // rows (or raw uint64 values when the width allows); the scalar sweep
-  // below is the reference it is tested against.
-  if (kernel::PackedKernelsEnabled()) {
-    return kernel::MinimalInterpretations(std::move(sets));
-  }
-  std::vector<size_t> cards;
-  const std::vector<size_t> order =
-      CanonicalizeAndOrderByCardinality(&sets, &cards);
-  // Sweep cardinality buckets upward: a candidate is minimal iff no
-  // already-found minimum (necessarily of strictly smaller cardinality)
-  // is contained in it.  Only |result| * n subset tests instead of n^2.
-  std::vector<char> keep(sets.size(), 0);
-  std::vector<const Interpretation*> minima;
-  size_t i = 0;
-  while (i < order.size()) {
-    const size_t card = cards[order[i]];
-    const size_t bucket_begin = minima.size();
-    for (; i < order.size() && cards[order[i]] == card; ++i) {
-      const Interpretation& candidate = sets[order[i]];
-      bool minimal = true;
-      for (size_t m = 0; m < bucket_begin; ++m) {
-        if (minima[m]->IsSubsetOf(candidate)) {
-          minimal = false;
-          break;
-        }
-      }
-      if (minimal) {
-        keep[order[i]] = 1;
-        minima.push_back(&sets[order[i]]);
-      }
-    }
-  }
-  std::vector<Interpretation> result;
-  for (size_t j = 0; j < sets.size(); ++j) {
-    if (keep[j]) result.push_back(sets[j]);
-  }
-  return result;  // still in the canonical (lexicographic) order
+  return kernel::MinimalInterpretations(std::move(sets));
 }
 
 std::vector<Interpretation> MaximalUnderInclusion(
     std::vector<Interpretation> sets) {
-  if (kernel::PackedKernelsEnabled()) {
-    return kernel::MaximalInterpretations(std::move(sets));
-  }
-  std::vector<size_t> cards;
-  const std::vector<size_t> order =
-      CanonicalizeAndOrderByCardinality(&sets, &cards);
-  // Mirror image: sweep buckets downward, testing containment in the
-  // already-found maxima (strictly larger cardinality).
-  std::vector<char> keep(sets.size(), 0);
-  std::vector<const Interpretation*> maxima;
-  size_t i = order.size();
-  while (i > 0) {
-    const size_t card = cards[order[i - 1]];
-    const size_t bucket_begin = maxima.size();
-    for (; i > 0 && cards[order[i - 1]] == card; --i) {
-      const Interpretation& candidate = sets[order[i - 1]];
-      bool maximal = true;
-      for (size_t m = 0; m < bucket_begin; ++m) {
-        if (candidate.IsSubsetOf(*maxima[m])) {
-          maximal = false;
-          break;
-        }
-      }
-      if (maximal) {
-        keep[order[i - 1]] = 1;
-        maxima.push_back(&sets[order[i - 1]]);
-      }
-    }
-  }
-  std::vector<Interpretation> result;
-  for (size_t j = 0; j < sets.size(); ++j) {
-    if (keep[j]) result.push_back(sets[j]);
-  }
-  return result;  // still in the canonical (lexicographic) order
+  return kernel::MaximalInterpretations(std::move(sets));
 }
 
 }  // namespace revise

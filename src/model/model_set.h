@@ -53,7 +53,8 @@ class ModelSet {
 // (lexicographic) order, so callers may binary-search it.  A proper subset
 // has strictly smaller cardinality, so candidates are swept in cardinality
 // buckets and tested only against the extremal elements already found —
-// |result| * n subset tests instead of n^2.
+// |result| * n subset tests instead of n^2 (the packed sweep in
+// kernel/kernels.h).
 std::vector<Interpretation> MinimalUnderInclusion(
     std::vector<Interpretation> sets);
 std::vector<Interpretation> MaximalUnderInclusion(

@@ -24,15 +24,6 @@ std::vector<size_t> VpPositions(const Formula& p, const Alphabet& alphabet) {
   return positions;
 }
 
-Interpretation MaskToDiff(uint64_t mask,
-                          const std::vector<size_t>& positions, size_t n) {
-  Interpretation diff(n);
-  for (size_t j = 0; j < positions.size(); ++j) {
-    if ((mask >> j) & 1) diff.Set(positions[j], true);
-  }
-  return diff;
-}
-
 }  // namespace
 
 ModelSet ReviseSetByFormula(OperatorId id, const ModelSet& mt,
@@ -82,24 +73,11 @@ ModelSet ReviseSetByFormula(OperatorId id, const ModelSet& mt,
     case OperatorId::kWinslett: {
       for (size_t i = 0; i < mt.size(); ++i) {
         // Inclusion-minimal masks of cand[i].
-        if (kernel::PackedKernelsEnabled()) {
-          const std::vector<uint64_t> mu = kernel::MinimalMasks(cand[i]);
-          for (const uint64_t s : cand[i]) {
-            if (std::binary_search(mu.begin(), mu.end(), s)) {
-              selected.push_back(make_model(i, s));
-            }
-          }
-          continue;
-        }
+        const std::vector<uint64_t> mu = kernel::MinimalMasks(cand[i]);
         for (const uint64_t s : cand[i]) {
-          bool minimal = true;
-          for (const uint64_t s2 : cand[i]) {
-            if (s2 != s && (s2 & ~s) == 0) {
-              minimal = false;
-              break;
-            }
+          if (std::binary_search(mu.begin(), mu.end(), s)) {
+            selected.push_back(make_model(i, s));
           }
-          if (minimal) selected.push_back(make_model(i, s));
         }
       }
       break;
@@ -123,14 +101,7 @@ ModelSet ReviseSetByFormula(OperatorId id, const ModelSet& mt,
     case OperatorId::kForbus: {
       for (size_t i = 0; i < mt.size(); ++i) {
         if (cand[i].empty()) continue;
-        size_t k_m = vp.size() + 1;
-        if (kernel::PackedKernelsEnabled()) {
-          k_m = kernel::MinPopcount(cand[i], k_m);
-        } else {
-          for (const uint64_t s : cand[i]) {
-            k_m = std::min<size_t>(k_m, std::popcount(s));
-          }
-        }
+        const size_t k_m = kernel::MinPopcount(cand[i], vp.size() + 1);
         for (const uint64_t s : cand[i]) {
           if (static_cast<size_t>(std::popcount(s)) == k_m) {
             selected.push_back(make_model(i, s));
@@ -142,13 +113,7 @@ ModelSet ReviseSetByFormula(OperatorId id, const ModelSet& mt,
     case OperatorId::kDalal: {
       size_t k = vp.size() + 1;
       for (size_t i = 0; i < mt.size(); ++i) {
-        if (kernel::PackedKernelsEnabled()) {
-          k = kernel::MinPopcount(cand[i], k);
-          continue;
-        }
-        for (const uint64_t s : cand[i]) {
-          k = std::min<size_t>(k, std::popcount(s));
-        }
+        k = kernel::MinPopcount(cand[i], k);
       }
       for (size_t i = 0; i < mt.size(); ++i) {
         for (const uint64_t s : cand[i]) {
@@ -161,62 +126,30 @@ ModelSet ReviseSetByFormula(OperatorId id, const ModelSet& mt,
     }
     case OperatorId::kSatoh:
     case OperatorId::kWeber: {
-      // delta(T,P): inclusion-minimal masks across all models.
-      // MaskToDiff is injective and preserves the subset order (mask bit j
-      // maps to the fixed letter positions[j]), so minimality over the raw
-      // masks equals minimality over the materialized difference sets —
-      // the packed path never builds a per-pair Interpretation.
-      if (kernel::PackedKernelsEnabled()) {
-        std::vector<uint64_t> all_masks;
-        for (size_t i = 0; i < mt.size(); ++i) {
-          all_masks.insert(all_masks.end(), cand[i].begin(), cand[i].end());
-        }
-        const std::vector<uint64_t> delta =
-            kernel::MinimalMasks(std::move(all_masks));
-        if (id == OperatorId::kSatoh) {
-          for (size_t i = 0; i < mt.size(); ++i) {
-            for (const uint64_t s : cand[i]) {
-              if (std::binary_search(delta.begin(), delta.end(), s)) {
-                selected.push_back(make_model(i, s));
-              }
-            }
-          }
-        } else {
-          uint64_t omega = 0;
-          for (const uint64_t s : delta) omega |= s;
-          for (size_t i = 0; i < mt.size(); ++i) {
-            for (const uint64_t s : cand[i]) {
-              if ((s & ~omega) == 0) selected.push_back(make_model(i, s));
-            }
-          }
-        }
-        break;
-      }
-      std::vector<Interpretation> all_diffs;
+      // delta(T,P): inclusion-minimal masks across all models.  Mask bit
+      // j stands for the fixed letter vp[j], so minimality over the raw
+      // masks equals minimality over the difference sets they denote — no
+      // per-pair Interpretation is ever built.
+      std::vector<uint64_t> all_masks;
       for (size_t i = 0; i < mt.size(); ++i) {
-        for (const uint64_t s : cand[i]) {
-          all_diffs.push_back(MaskToDiff(s, vp, alphabet.size()));
-        }
+        all_masks.insert(all_masks.end(), cand[i].begin(), cand[i].end());
       }
-      const std::vector<Interpretation> delta =
-          MinimalUnderInclusion(std::move(all_diffs));
+      const std::vector<uint64_t> delta =
+          kernel::MinimalMasks(std::move(all_masks));
       if (id == OperatorId::kSatoh) {
         for (size_t i = 0; i < mt.size(); ++i) {
           for (const uint64_t s : cand[i]) {
-            const Interpretation d = MaskToDiff(s, vp, alphabet.size());
-            if (std::find(delta.begin(), delta.end(), d) != delta.end()) {
+            if (std::binary_search(delta.begin(), delta.end(), s)) {
               selected.push_back(make_model(i, s));
             }
           }
         }
       } else {
-        Interpretation omega(alphabet.size());
-        for (const Interpretation& d : delta) omega = omega.Union(d);
+        uint64_t omega = 0;
+        for (const uint64_t s : delta) omega |= s;
         for (size_t i = 0; i < mt.size(); ++i) {
           for (const uint64_t s : cand[i]) {
-            if (MaskToDiff(s, vp, alphabet.size()).IsSubsetOf(omega)) {
-              selected.push_back(make_model(i, s));
-            }
+            if ((s & ~omega) == 0) selected.push_back(make_model(i, s));
           }
         }
       }

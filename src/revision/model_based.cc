@@ -1,25 +1,15 @@
 #include "revision/model_based.h"
 
-#include <algorithm>
-#include <atomic>
-
 #include "kernel/kernels.h"
 #include "kernel/packed_matrix.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "obs/profile.h"
 #include "util/check.h"
-#include "util/parallel.h"
 
 namespace revise {
 
 namespace {
-
-// Shard grains: below these sizes the kernels run single-shard (inline).
-// Selection loops do O(|other set|) work per element; the flattened
-// pairwise sweeps do one popcount/xor per pair.
-constexpr size_t kSelectionGrain = 8;
-constexpr size_t kPairGrain = 2048;
 
 // Shared degenerate-case handling.  Returns true if the result is already
 // decided and stored in *result.
@@ -34,44 +24,6 @@ bool HandleDegenerate(const ModelSet& mt, const ModelSet& mp,
     return true;
   }
   return false;
-}
-
-// MinimalUnderInclusion returns the canonical (lexicographically sorted)
-// order, so membership of a difference set is a binary search.
-bool ContainsSorted(const std::vector<Interpretation>& sorted,
-                    const Interpretation& m) {
-  return std::binary_search(sorted.begin(), sorted.end(), m);
-}
-
-// Concatenates per-shard results in shard order (deterministic merge).
-std::vector<Interpretation> ConcatShards(
-    std::vector<std::vector<Interpretation>> shards) {
-  std::vector<Interpretation> merged;
-  size_t total = 0;
-  for (const auto& shard : shards) total += shard.size();
-  merged.reserve(total);
-  for (auto& shard : shards) {
-    merged.insert(merged.end(), std::make_move_iterator(shard.begin()),
-                  std::make_move_iterator(shard.end()));
-  }
-  return merged;
-}
-
-// Parallel selection over M(P): keeps every n in mp with accept(n).  The
-// per-shard hit lists are concatenated in shard order, so the output order
-// (and after ModelSet canonicalization, the result) is independent of the
-// thread count.
-template <typename Accept>
-std::vector<Interpretation> ParallelSelect(const ModelSet& mp,
-                                           const Accept& accept) {
-  return ConcatShards(ParallelMapRanges<std::vector<Interpretation>>(
-      mp.size(), kSelectionGrain, [&](size_t begin, size_t end) {
-        std::vector<Interpretation> selected;
-        for (size_t i = begin; i < end; ++i) {
-          if (accept(mp[i])) selected.push_back(mp[i]);
-        }
-        return selected;
-      }));
 }
 
 // Re-lays a model set as a packed row matrix for the batch kernels.
@@ -102,82 +54,17 @@ std::vector<Interpretation> PointwiseMinimalDiffs(const Interpretation& m,
   return MinimalUnderInclusion(std::move(diffs));
 }
 
-std::optional<size_t> PointwiseMinDistance(const Interpretation& m,
-                                           const ModelSet& mp) {
-  if (mp.empty()) return std::nullopt;
-  size_t best = m.size() + 1;
-  for (const Interpretation& n : mp) {
-    if (best == 0) break;
-    best = std::min(best, m.HammingDistanceCapped(n, best - 1));
-  }
-  return best;
-}
-
 std::vector<Interpretation> GlobalMinimalDiffsOfSets(const ModelSet& mt,
                                                      const ModelSet& mp) {
   if (mt.empty() || mp.empty()) return {};
-  if (kernel::PackedKernelsEnabled()) {
-    return kernel::MinimalDiffsOfSets(Pack(mt), Pack(mp));
-  }
-  // Scalar reference: shard the flattened mt x mp pair space (robust when
-  // either side is tiny, e.g. a complete theory with one model against
-  // 2^m update models).  Each shard prunes locally, which keeps the final
-  // merge small; pruning shard-local minima never loses a global minimum.
-  const size_t pairs = mt.size() * mp.size();
-  std::vector<std::vector<Interpretation>> shards =
-      ParallelMapRanges<std::vector<Interpretation>>(
-          pairs, kPairGrain, [&](size_t begin, size_t end) {
-            std::vector<Interpretation> diffs;
-            diffs.reserve(end - begin);
-            for (size_t p = begin; p < end; ++p) {
-              diffs.push_back(mt[p / mp.size()].SymmetricDifference(
-                  mp[p % mp.size()]));
-            }
-            return MinimalUnderInclusion(std::move(diffs));
-          });
-  if (shards.size() == 1) return std::move(shards[0]);
-  return MinimalUnderInclusion(ConcatShards(std::move(shards)));
+  return kernel::MinimalDiffsOfSets(Pack(mt), Pack(mp));
 }
 
 std::optional<size_t> GlobalMinDistanceOfSets(const ModelSet& mt,
                                               const ModelSet& mp) {
   if (mt.empty() || mp.empty()) return std::nullopt;
-  const size_t cap = mt.alphabet().size() + 1;
-  if (kernel::PackedKernelsEnabled()) {
-    return kernel::MinDistanceOfSets(Pack(mt), Pack(mp), cap);
-  }
-  // Scalar reference.  The best-so-far bound is a relaxed atomic shared
-  // across shards: a shard that finds a small distance shrinks every other
-  // shard's cap.  The min over a fixed pair set does not depend on who
-  // finds it first, so the result stays bit-identical at any thread count
-  // — the bound only prunes work.
-  const size_t pairs = mt.size() * mp.size();
-  std::atomic<size_t> best{cap};
-  ParallelMapRanges<size_t>(
-      pairs, kPairGrain, [&](size_t begin, size_t end) {
-        for (size_t p = begin; p < end; ++p) {
-          const size_t bound = best.load(std::memory_order_relaxed);
-          if (bound == 0) break;
-          const size_t d = mt[p / mp.size()].HammingDistanceCapped(
-              mp[p % mp.size()], bound - 1);
-          if (d >= bound) continue;
-          size_t current = best.load(std::memory_order_relaxed);
-          while (d < current &&
-                 !best.compare_exchange_weak(current, d,
-                                             std::memory_order_relaxed)) {
-          }
-        }
-        return size_t{0};
-      });
-  return best.load(std::memory_order_relaxed);
-}
-
-Interpretation WeberOmegaOfSets(const ModelSet& mt, const ModelSet& mp) {
-  Interpretation omega(mt.alphabet().size());
-  for (const Interpretation& diff : GlobalMinimalDiffsOfSets(mt, mp)) {
-    omega = omega.Union(diff);
-  }
-  return omega;
+  return kernel::MinDistanceOfSets(Pack(mt), Pack(mp),
+                                   mt.alphabet().size() + 1);
 }
 
 namespace {
@@ -194,31 +81,9 @@ ModelSet WinslettModelsImpl(const ModelSet& mt, const ModelSet& mp) {
   REVISE_CHECK(mt.alphabet() == mp.alphabet());
   ModelSet degenerate;
   if (HandleDegenerate(mt, mp, &degenerate)) return degenerate;
-  if (kernel::PackedKernelsEnabled()) {
-    return ModelSet(mp.alphabet(),
-                    GatherModels(mp, kernel::SelectPointwiseMinimalDiffs(
-                                         Pack(mt), Pack(mp))));
-  }
-  // Scalar reference: partition M(T) across workers; each shard selects
-  // independently and the shard hit lists are concatenated in shard order
-  // before the canonicalizing ModelSet constructor.
-  std::vector<Interpretation> selected =
-      ConcatShards(ParallelMapRanges<std::vector<Interpretation>>(
-          mt.size(), kSelectionGrain, [&](size_t begin, size_t end) {
-            std::vector<Interpretation> shard;
-            for (size_t i = begin; i < end; ++i) {
-              const Interpretation& m = mt[i];
-              const std::vector<Interpretation> mu =
-                  PointwiseMinimalDiffs(m, mp);
-              for (const Interpretation& n : mp) {
-                if (ContainsSorted(mu, m.SymmetricDifference(n))) {
-                  shard.push_back(n);
-                }
-              }
-            }
-            return shard;
-          }));
-  return ModelSet(mp.alphabet(), std::move(selected));
+  return ModelSet(mp.alphabet(),
+                  GatherModels(mp, kernel::SelectPointwiseMinimalDiffs(
+                                       Pack(mt), Pack(mp))));
 }
 
 ModelSet BorgidaModelsImpl(const ModelSet& mt, const ModelSet& mp) {
@@ -234,98 +99,50 @@ ModelSet ForbusModelsImpl(const ModelSet& mt, const ModelSet& mp) {
   REVISE_CHECK(mt.alphabet() == mp.alphabet());
   ModelSet degenerate;
   if (HandleDegenerate(mt, mp, &degenerate)) return degenerate;
-  if (kernel::PackedKernelsEnabled()) {
-    return ModelSet(mp.alphabet(),
-                    GatherModels(mp, kernel::SelectPointwiseMinDistance(
-                                         Pack(mt), Pack(mp))));
-  }
-  std::vector<Interpretation> selected =
-      ConcatShards(ParallelMapRanges<std::vector<Interpretation>>(
-          mt.size(), kSelectionGrain, [&](size_t begin, size_t end) {
-            std::vector<Interpretation> shard;
-            for (size_t i = begin; i < end; ++i) {
-              const Interpretation& m = mt[i];
-              const size_t k = *PointwiseMinDistance(m, mp);
-              for (const Interpretation& n : mp) {
-                if (m.HammingDistanceCapped(n, k) == k) shard.push_back(n);
-              }
-            }
-            return shard;
-          }));
-  return ModelSet(mp.alphabet(), std::move(selected));
+  return ModelSet(mp.alphabet(),
+                  GatherModels(mp, kernel::SelectPointwiseMinDistance(
+                                       Pack(mt), Pack(mp))));
 }
 
 ModelSet SatohModelsImpl(const ModelSet& mt, const ModelSet& mp) {
   REVISE_CHECK(mt.alphabet() == mp.alphabet());
   ModelSet degenerate;
   if (HandleDegenerate(mt, mp, &degenerate)) return degenerate;
-  if (kernel::PackedKernelsEnabled()) {
-    const kernel::PackedModelMatrix pt = Pack(mt);
-    const kernel::PackedModelMatrix pp = Pack(mp);
-    const kernel::PackedModelMatrix delta =
-        kernel::PackedModelMatrix::FromModels(
-            mp.alphabet().size(), kernel::MinimalDiffsOfSets(pt, pp));
-    return ModelSet(mp.alphabet(),
-                    GatherModels(
-                        mp, kernel::SelectWithDiffInSorted(pp, pt, delta)));
-  }
-  const std::vector<Interpretation> delta =
-      GlobalMinimalDiffsOfSets(mt, mp);
+  const kernel::PackedModelMatrix pt = Pack(mt);
+  const kernel::PackedModelMatrix pp = Pack(mp);
+  const kernel::PackedModelMatrix delta =
+      kernel::PackedModelMatrix::FromModels(
+          mp.alphabet().size(), kernel::MinimalDiffsOfSets(pt, pp));
   return ModelSet(mp.alphabet(),
-                  ParallelSelect(mp, [&](const Interpretation& n) {
-                    for (const Interpretation& m : mt) {
-                      if (ContainsSorted(delta, n.SymmetricDifference(m))) {
-                        return true;
-                      }
-                    }
-                    return false;
-                  }));
+                  GatherModels(mp,
+                               kernel::SelectWithDiffInSorted(pp, pt, delta)));
 }
 
 ModelSet DalalModelsImpl(const ModelSet& mt, const ModelSet& mp) {
   REVISE_CHECK(mt.alphabet() == mp.alphabet());
   ModelSet degenerate;
   if (HandleDegenerate(mt, mp, &degenerate)) return degenerate;
-  if (kernel::PackedKernelsEnabled()) {
-    const kernel::PackedModelMatrix pt = Pack(mt);
-    const kernel::PackedModelMatrix pp = Pack(mp);
-    const size_t k =
-        kernel::MinDistanceOfSets(pt, pp, mt.alphabet().size() + 1);
-    return ModelSet(mp.alphabet(),
-                    GatherModels(mp, kernel::SelectWithinDistance(pp, pt, k)));
-  }
-  const size_t k = *GlobalMinDistanceOfSets(mt, mp);
+  const kernel::PackedModelMatrix pt = Pack(mt);
+  const kernel::PackedModelMatrix pp = Pack(mp);
+  const size_t k =
+      kernel::MinDistanceOfSets(pt, pp, mt.alphabet().size() + 1);
   return ModelSet(mp.alphabet(),
-                  ParallelSelect(mp, [&](const Interpretation& n) {
-                    for (const Interpretation& m : mt) {
-                      if (n.HammingDistanceCapped(m, k) == k) return true;
-                    }
-                    return false;
-                  }));
+                  GatherModels(mp, kernel::SelectWithinDistance(pp, pt, k)));
 }
 
 ModelSet WeberModelsImpl(const ModelSet& mt, const ModelSet& mp) {
   REVISE_CHECK(mt.alphabet() == mp.alphabet());
   ModelSet degenerate;
   if (HandleDegenerate(mt, mp, &degenerate)) return degenerate;
-  if (kernel::PackedKernelsEnabled()) {
-    const kernel::PackedModelMatrix pt = Pack(mt);
-    const kernel::PackedModelMatrix pp = Pack(mp);
-    Interpretation omega(mt.alphabet().size());
-    for (const Interpretation& diff : kernel::MinimalDiffsOfSets(pt, pp)) {
-      omega = omega.Union(diff);
-    }
-    return ModelSet(mp.alphabet(),
-                    GatherModels(mp, kernel::SelectWithinMask(pp, pt, omega)));
+  const kernel::PackedModelMatrix pt = Pack(mt);
+  const kernel::PackedModelMatrix pp = Pack(mp);
+  // Omega = the union of delta(T, P).
+  Interpretation omega(mt.alphabet().size());
+  for (const Interpretation& diff : kernel::MinimalDiffsOfSets(pt, pp)) {
+    omega = omega.Union(diff);
   }
-  const Interpretation omega = WeberOmegaOfSets(mt, mp);
   return ModelSet(mp.alphabet(),
-                  ParallelSelect(mp, [&](const Interpretation& n) {
-                    for (const Interpretation& m : mt) {
-                      if (!n.DiffersOutside(m, omega)) return true;
-                    }
-                    return false;
-                  }));
+                  GatherModels(mp, kernel::SelectWithinMask(pp, pt, omega)));
 }
 
 }  // namespace

@@ -22,19 +22,12 @@
 //   Weber:   N selected iff N delta M ⊆ Omega = ∪ delta(T,P) for some
 //            M |= T.
 //
-// Parallelism: the global sweeps (delta(T,P), k_{T,P}) shard the flattened
-// M(T) x M(P) pair space and the per-model selection loops shard one model
-// set across the process thread pool (util/parallel.h, REVISE_THREADS).
-// Every merge is order-canonicalizing (MinimalUnderInclusion, min, or the
-// sorting ModelSet constructor), so results are bit-identical to the
-// sequential reference at any thread count.
-//
-// By default every operator routes its pair sweeps and selection loops
-// through the packed bit-matrix kernels (src/kernel/kernels.h), which
-// re-lay the model sets as contiguous rows and sweep cache-blocked tiles;
-// kernel::SetPackedKernelsEnabled(false) restores the scalar
-// Interpretation loops kept below as the reference oracle.  Both paths
-// produce bit-identical ModelSets.
+// Every operator runs on the packed bit-matrix kernels
+// (src/kernel/kernels.h): the model sets are re-laid as contiguous rows
+// and swept in cache-blocked tiles, sharded across the process thread
+// pool (util/parallel.h, REVISE_THREADS).  Every merge is
+// order-canonicalizing, so results are bit-identical at any thread count.
+// The naive references in src/fuzz/oracles.cc are the independent check.
 
 #ifndef REVISE_REVISION_MODEL_BASED_H_
 #define REVISE_REVISION_MODEL_BASED_H_
@@ -51,10 +44,6 @@ namespace revise {
 std::vector<Interpretation> PointwiseMinimalDiffs(const Interpretation& m,
                                                   const ModelSet& mp);
 
-// k_{M,P}: minimum cardinality of differences between `m` and models of P.
-std::optional<size_t> PointwiseMinDistance(const Interpretation& m,
-                                           const ModelSet& mp);
-
 // delta(T, P) = minc ∪_{M in mt} mu(M, P).
 std::vector<Interpretation> GlobalMinimalDiffsOfSets(const ModelSet& mt,
                                                      const ModelSet& mp);
@@ -62,9 +51,6 @@ std::vector<Interpretation> GlobalMinimalDiffsOfSets(const ModelSet& mt,
 // k_{T,P}: global minimum Hamming distance.
 std::optional<size_t> GlobalMinDistanceOfSets(const ModelSet& mt,
                                               const ModelSet& mp);
-
-// Omega = union of all sets in delta(T, P), as a letter set.
-Interpretation WeberOmegaOfSets(const ModelSet& mt, const ModelSet& mp);
 
 ModelSet WinslettModels(const ModelSet& mt, const ModelSet& mp);
 ModelSet BorgidaModels(const ModelSet& mt, const ModelSet& mp);

@@ -1,13 +1,12 @@
 // Tests for the .rkb artifact subsystem (src/artifact/): the checksum
-// primitive, the container round-trip on both read paths, corruption
-// rejection (bad magic, bad version, truncation, arbitrary bit flips),
+// primitive, the container round-trip, corruption rejection (bad magic,
+// bad version, truncation, arbitrary bit flips),
 // knowledge-base round-trips across operators / strategies / fuzz
 // scenario shapes and thread counts, and the committed golden canary.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <set>
@@ -112,7 +111,6 @@ TEST(ArtifactFileTest, AssembleAndReopen) {
   StatusOr<ArtifactFile> file = ArtifactFile::FromBytes(TwoSectionImage());
   ASSERT_TRUE(file.ok()) << file.status().ToString();
   EXPECT_EQ(file->format_version(), kFormatVersion);
-  EXPECT_FALSE(file->mapped());
   ASSERT_EQ(file->sections().size(), 2u);
   const ArtifactFile::Section* vocab =
       file->Find(SectionId::kVocabulary);
@@ -123,34 +121,6 @@ TEST(ArtifactFileTest, AssembleAndReopen) {
   EXPECT_EQ(data[0], 1);
   EXPECT_EQ(data[2], 3);
   EXPECT_EQ(file->Find(SectionId::kBdd), nullptr);
-}
-
-TEST(ArtifactFileTest, MappedAndStreamedAgree) {
-  const std::filesystem::path path = TempPath("artifact_both_paths");
-  ArtifactWriter writer;
-  writer.AddSection(SectionId::kModelRows,
-                    std::vector<uint8_t>(256, 0x11));
-  ASSERT_TRUE(writer.WriteToFile(path.string()).ok());
-
-  StatusOr<ArtifactFile> mapped = ArtifactFile::Open(path.string());
-  ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
-
-  ::setenv("REVISE_ARTIFACT_MMAP", "0", 1);
-  StatusOr<ArtifactFile> streamed = ArtifactFile::Open(path.string());
-  ::unsetenv("REVISE_ARTIFACT_MMAP");
-  ASSERT_TRUE(streamed.ok()) << streamed.status().ToString();
-
-  EXPECT_FALSE(streamed->mapped());
-  EXPECT_EQ(mapped->file_crc(), streamed->file_crc());
-  const ArtifactFile::Section* a = mapped->Find(SectionId::kModelRows);
-  const ArtifactFile::Section* b = streamed->Find(SectionId::kModelRows);
-  ASSERT_NE(a, nullptr);
-  ASSERT_NE(b, nullptr);
-  EXPECT_EQ(std::vector<uint8_t>(mapped->SectionData(*a),
-                                 mapped->SectionData(*a) + a->size),
-            std::vector<uint8_t>(streamed->SectionData(*b),
-                                 streamed->SectionData(*b) + b->size));
-  std::filesystem::remove(path);
 }
 
 TEST(ArtifactFileTest, RejectsBadMagic) {

@@ -20,7 +20,6 @@
 #include "kernel/kernels.h"
 #include "kernel/packed_matrix.h"
 #include "logic/interpretation.h"
-#include "model/model_set.h"
 #include "util/parallel.h"
 #include "util/random.h"
 
@@ -457,20 +456,6 @@ TEST(PackedKernels, MinimalMasksAndMinPopcountMatchNaive) {
   }
   EXPECT_TRUE(MinimalMasks({}).empty());
   EXPECT_EQ(MinPopcount({}, 42u), 42u);
-}
-
-// ---- runtime toggle ------------------------------------------------------
-
-TEST(PackedKernels, ToggleRoutesModelSetExtremalFilters) {
-  ASSERT_TRUE(PackedKernelsEnabled());  // default
-  Rng rng(41);
-  const std::vector<Interpretation> sets = RandomModels(&rng, 65, 30);
-  const std::vector<Interpretation> packed = MinimalUnderInclusion(sets);
-  SetPackedKernelsEnabled(false);
-  const std::vector<Interpretation> scalar = MinimalUnderInclusion(sets);
-  SetPackedKernelsEnabled(true);
-  EXPECT_EQ(packed, scalar);
-  EXPECT_EQ(packed, NaiveMinimal(sets));
 }
 
 TEST(PackedKernels, ActiveSimdPathIsKnown) {

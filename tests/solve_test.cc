@@ -161,10 +161,16 @@ TEST(SatContextTest, EncodeIsMemoized) {
 // --- distance machinery ---
 
 struct DistanceCase {
+  const char* name;
   const char* t;
   const char* p;
   size_t expected;
 };
+
+// Names each case in the test listing. Without it gtest prints the raw
+// struct bytes, which hold string-literal addresses and so differ from one
+// build or run to the next.
+void PrintTo(const DistanceCase& c, std::ostream* os) { *os << c.name; }
 
 class MinDistanceTest : public ::testing::TestWithParam<DistanceCase> {};
 
@@ -181,14 +187,15 @@ TEST_P(MinDistanceTest, MatchesHandComputedValue) {
 INSTANTIATE_TEST_SUITE_P(
     HandCases, MinDistanceTest,
     ::testing::Values(
-        DistanceCase{"a & b", "a & b", 0},
-        DistanceCase{"a & b", "!a & b", 1},
-        DistanceCase{"a & b & c", "!a & !b & !c", 3},
+        DistanceCase{"identical", "a & b", "a & b", 0},
+        DistanceCase{"one_flip", "a & b", "!a & b", 1},
+        DistanceCase{"three_flips", "a & b & c", "!a & !b & !c", 3},
         // Paper Section 2.2.2 example: k_{T,P} = 1.
-        DistanceCase{"a & b & c",
+        DistanceCase{"paper_section_2_2_2", "a & b & c",
                      "(!a & !b & !d) | (!c & b & (a ^ d))", 1},
         // Section 4 example: T = a&b&c&d&e, P = !a | !b, k = 1.
-        DistanceCase{"a & b & c & d & e", "!a | !b", 1}));
+        DistanceCase{"paper_section_4", "a & b & c & d & e",
+                     "!a | !b", 1}));
 
 TEST(MinDistanceTest, UnsatisfiableOperandGivesNullopt) {
   Vocabulary vocabulary;

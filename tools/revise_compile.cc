@@ -98,7 +98,6 @@ Json InfoToJson(const ArtifactInfo& info) {
   out["format_version"] = info.format_version;
   out["file_size"] = info.file_size;
   out["file_crc"] = info.file_crc;
-  out["mapped"] = info.mapped;
   out["operator"] = info.operator_name;
   out["strategy"] = info.strategy_name;
   out["vocabulary_size"] = info.vocabulary_size;
@@ -126,7 +125,6 @@ void PrintInfo(const ArtifactInfo& info) {
               static_cast<unsigned long long>(info.file_size));
   std::printf("file crc64     : %016llx\n",
               static_cast<unsigned long long>(info.file_crc));
-  std::printf("read path      : %s\n", info.mapped ? "mmap" : "streamed");
   std::printf("operator       : %s\n", info.operator_name.c_str());
   std::printf("strategy       : %s\n", info.strategy_name.c_str());
   std::printf("vocabulary     : %llu names\n",
