@@ -1,8 +1,6 @@
 #include "core/knowledge_base.h"
 
 #include "compact/iterated_revision.h"
-#include "logic/evaluate.h"
-#include "model/canonical.h"
 #include "revision/formula_based.h"
 #include "revision/iterated.h"
 #include "solve/services.h"
@@ -112,7 +110,9 @@ Alphabet KnowledgeBase::CurrentAlphabet() const {
   return IteratedAlphabet(initial_, updates_);
 }
 
-ModelSet KnowledgeBase::Models() const {
+ModelSet KnowledgeBase::Models() const { return MemoizedModels(); }
+
+const ModelSet& KnowledgeBase::MemoizedModels() const {
   if (!models_memo_.has_value()) {
     models_memo_ = ComputeModels();
   }
@@ -130,10 +130,10 @@ ModelSet KnowledgeBase::ComputeModels() const {
 bool KnowledgeBase::Ask(const Formula& query) const {
   if (strategy_ == RevisionStrategy::kDelayed) {
     // Compute the revision on demand (the paper's recommended strategy):
-    // materialize the iterated model set, then test entailment.  Letters
-    // of the query outside the knowledge base are unconstrained, which
-    // Entails handles through the canonical representation.
-    return Entails(CanonicalDnf(Models()), query);
+    // materialize the iterated model set once, then decide entailment on
+    // the memo itself.  Letters of the query outside the knowledge base
+    // are unconstrained; EntailedByModels quantifies them universally.
+    return EntailedByModels(MemoizedModels(), query);
   }
   // Explicit / compact: plain entailment on the stored formula.  Under
   // kCompact this is sound for queries over the original letters by
@@ -143,8 +143,8 @@ bool KnowledgeBase::Ask(const Formula& query) const {
 
 bool KnowledgeBase::IsModel(const Interpretation& m,
                             const Alphabet& alphabet) const {
-  const Alphabet own = CurrentAlphabet();
-  return Models().Contains(Reinterpret(m, alphabet, own));
+  const ModelSet& models = MemoizedModels();
+  return models.Contains(Reinterpret(m, alphabet, models.alphabet()));
 }
 
 uint64_t KnowledgeBase::StoredSize() const {

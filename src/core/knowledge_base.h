@@ -8,6 +8,9 @@
 //                on demand at query time.  Always available; this is the
 //                strategy Section 8 recommends, and polynomial space is
 //                guaranteed (Table 2's caveat: keep the P^i around).
+//                The first query materializes the iterated model set
+//                once; Ask then decides entailment on that memo directly
+//                (EntailedByModels), never re-encoding it as a formula.
 //  * kExplicit — eagerly fold every revision into an explicit equivalent
 //                formula.  Sizes can explode exactly where Tables 1-2 say
 //                NO; ExplicitSize() exposes the growth.
@@ -68,14 +71,17 @@ class KnowledgeBase {
   // Incorporates the new information P.
   void Revise(const Formula& p);
 
-  // Does the (iterated-)revised knowledge base entail `query`?
+  // Does the (iterated-)revised knowledge base entail `query`?  Letters
+  // of `query` outside the KB are unconstrained.  kDelayed answers on the
+  // memoized model set; kExplicit / kCompact run SAT entailment on the
+  // stored formula.
   [[nodiscard]] bool Ask(const Formula& query) const;
 
   // Is `m` (over `alphabet` ⊇ the KB's letters) a model of the revised
-  // knowledge base?  Note: under kCompact this requires recomputing the
-  // projection — the compact representation is only QUERY-equivalent, the
-  // paper's criterion (1); cheap model checking is exactly what it gives
-  // up (Section 1).
+  // knowledge base?  Answered on the model-set memo.  Note: under kCompact
+  // filling the memo requires recomputing the projection — the compact
+  // representation is only QUERY-equivalent, the paper's criterion (1);
+  // cheap model checking is exactly what it gives up (Section 1).
   [[nodiscard]] bool IsModel(const Interpretation& m,
                              const Alphabet& alphabet) const;
 
@@ -99,6 +105,9 @@ class KnowledgeBase {
 
  private:
   ModelSet ComputeModels() const;
+  // The Models() memo, filled on first use; Ask and IsModel read it in
+  // place instead of copying it.
+  const ModelSet& MemoizedModels() const;
 
   const RevisionOperator* op_;
   RevisionStrategy strategy_;
@@ -112,10 +121,10 @@ class KnowledgeBase {
   // WIDTIO folds theories, not formulas.
   Theory folded_theory_;
 
-  // Memo for Models(): filled on first computation (or seeded from a
-  // loaded artifact), invalidated by Revise.  KnowledgeBase is a
-  // single-threaded object, as before — concurrent const access is not
-  // synchronized.
+  // Memo behind Models(), Ask (kDelayed) and IsModel: filled on first
+  // computation (or seeded from a loaded artifact), invalidated by
+  // Revise.  KnowledgeBase is a single-threaded object, as before —
+  // concurrent const access is not synchronized.
   mutable std::optional<ModelSet> models_memo_;
 };
 

@@ -7,6 +7,7 @@
 #include <fstream>
 #include <iterator>
 #include <string>
+#include <utility>
 #include <vector>
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -433,6 +434,39 @@ std::optional<std::string> CompactVsDirectOracle(const Scenario& s) {
   return std::nullopt;
 }
 
+// EntailedByModels vs SAT entailment on the canonical DNF of the same
+// model set.  y is a fresh letter outside every model set's alphabet, so the queries
+// that mention it always take the assumption-SAT path.
+std::optional<std::string> EntailmentOracle(const Scenario& s) {
+  const Alphabet x = RevisionAlphabet(s.t, s.p);
+  if (x.size() > kMaxOracleAlphabet) return std::nullopt;
+  const Formula y = Formula::Variable(s.vocabulary->Fresh("y"));
+  const struct {
+    const char* name;
+    Formula query;
+  } queries[] = {{"Q", s.q},
+                 {"Q | y", Formula::Or(s.q, y)},
+                 {"Q & y", Formula::And(s.q, y)},
+                 {"Q <-> y", Formula::Iff(s.q, y)}};
+  std::vector<std::pair<std::string, ModelSet>> sets;
+  sets.emplace_back("the empty model set", ModelSet(x, {}));
+  for (const ModelBasedOperator* op : AllModelBasedOperators()) {
+    sets.emplace_back(op->name(), op->ReviseModels(s.t, s.p, x));
+  }
+  for (const auto& [name, models] : sets) {
+    const Formula dnf = CanonicalDnf(models);
+    for (const auto& [query_name, query] : queries) {
+      const bool got = EntailedByModels(models, query);
+      if (got != Entails(dnf, query)) {
+        return name + ": EntailedByModels says " +
+               (got ? "entailed" : "not entailed") + " for " + query_name +
+               ", SAT entailment on the canonical DNF disagrees";
+      }
+    }
+  }
+  return std::nullopt;
+}
+
 std::optional<std::string> PostulatesOracle(const Scenario& s) {
   const Alphabet x = RevisionAlphabet(s.t, s.p);
   if (x.size() > kMaxOracleAlphabet) return std::nullopt;
@@ -644,6 +678,9 @@ const std::vector<Oracle> kOracles = {
     {"compact-vs-direct",
      "Theorem 3.4/3.5 compact constructions vs direct revision",
      CompactVsDirectOracle},
+    {"entailment",
+     "EntailedByModels vs SAT entailment on the canonical DNF",
+     EntailmentOracle},
     {"postulates",
      "KM laws: success, consistency, vacuity, U2, idempotence",
      PostulatesOracle},

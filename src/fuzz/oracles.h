@@ -24,6 +24,10 @@
 //                         direct revision, under query equivalence over
 //                         X = V(T) ∪ V(P), plus *EntailsCompact vs the
 //                         operator's Entails.
+//   entailment            EntailedByModels vs Entails on the canonical
+//                         DNF, for the empty set and each model-based
+//                         operator's revision, on Q, Q | y, Q & y and
+//                         Q <-> y with y a fresh letter.
 //   postulates            the KM laws every one of the six operators must
 //                         satisfy (success, consistency, update vacuity,
 //                         idempotence) and revision vacuity for the four
@@ -31,6 +35,8 @@
 //   figure1-containment   the paper's Figure 1 edges, e.g. Dalal ⊆ Satoh
 //                         ⊆ Winslett, as model-set inclusions.
 //   parser-roundtrip      print → parse → structural equality.
+//   artifact-roundtrip    compile → save → load → query vs direct, plus
+//                         rejection of corrupted bytes.
 //
 // Oracles with exponential references skip scenarios whose revision
 // alphabet exceeds kMaxOracleAlphabet instead of failing.

@@ -52,27 +52,6 @@ size_t Interpretation::HammingDistance(const Interpretation& other) const {
   return count;
 }
 
-size_t Interpretation::HammingDistanceCapped(const Interpretation& other,
-                                             size_t cap) const {
-  REVISE_DCHECK_EQ(size_, other.size_);
-  size_t count = 0;
-  for (size_t i = 0; i < words_.size(); ++i) {
-    count += std::popcount(words_[i] ^ other.words_[i]);
-    if (count > cap) return cap + 1;
-  }
-  return count;
-}
-
-bool Interpretation::DiffersOutside(const Interpretation& other,
-                                    const Interpretation& mask) const {
-  REVISE_DCHECK_EQ(size_, other.size_);
-  REVISE_DCHECK_EQ(size_, mask.size_);
-  for (size_t i = 0; i < words_.size(); ++i) {
-    if (((words_[i] ^ other.words_[i]) & ~mask.words_[i]) != 0) return true;
-  }
-  return false;
-}
-
 bool Interpretation::IsSubsetOf(const Interpretation& other) const {
   REVISE_DCHECK_EQ(size_, other.size_);
   for (size_t i = 0; i < words_.size(); ++i) {

@@ -80,20 +80,10 @@ class Interpretation {
   Interpretation SymmetricDifference(const Interpretation& other) const;
   // |M Delta N|.
   size_t HammingDistance(const Interpretation& other) const;
-  // |M Delta N| if it is <= cap, otherwise cap + 1 — the inner loops of
-  // the distance-based kernels only care whether a pair beats the current
-  // bound, so the word-at-a-time count exits as soon as it exceeds `cap`.
-  size_t HammingDistanceCapped(const Interpretation& other, size_t cap) const;
   // Set containment of the true-letters: this subseteq other.
   bool IsSubsetOf(const Interpretation& other) const;
   // Strict containment.
   bool IsProperSubsetOf(const Interpretation& other) const;
-  // True iff (this Delta other) is NOT a subset of mask, i.e. the two
-  // interpretations differ on some letter outside `mask`.  Equivalent to
-  // !SymmetricDifference(other).IsSubsetOf(mask) without materializing the
-  // difference, exiting at the first offending word (Weber's kernel test).
-  bool DiffersOutside(const Interpretation& other,
-                      const Interpretation& mask) const;
 
   // Set union / intersection of the true-letters.
   Interpretation Union(const Interpretation& other) const;

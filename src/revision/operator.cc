@@ -1,6 +1,5 @@
 #include "revision/operator.h"
 
-#include "logic/evaluate.h"
 #include "model/canonical.h"
 #include "obs/metrics.h"
 #include "obs/flight_recorder.h"
@@ -26,39 +25,9 @@ Formula RevisionOperator::ReviseFormula(const Theory& t,
 
 bool RevisionOperator::Entails(const Theory& t, const Formula& p,
                                const Formula& q) const {
-  // Evaluate q on every model of T * P over V(T) ∪ V(P) ∪ V(q); letters
-  // of q outside the revision alphabet are unconstrained, so q must hold
-  // for all their values.
-  std::vector<Var> vars = t.Vars();
-  for (const Var v : p.Vars()) vars.push_back(v);
-  const Alphabet revision_alphabet(vars);
-  for (const Var v : q.Vars()) vars.push_back(v);
-  const Alphabet query_alphabet(vars);
-
-  const ModelSet revised = ReviseModels(t, p, revision_alphabet);
-  const size_t extra = query_alphabet.size() - revision_alphabet.size();
-  REVISE_CHECK_LE(extra, 20u);
-  for (const Interpretation& m : revised) {
-    // Extend m over the query alphabet in every possible way.
-    const Interpretation base =
-        Reinterpret(m, revision_alphabet, query_alphabet);
-    // Positions of the extra letters within query_alphabet.
-    std::vector<size_t> extra_positions;
-    for (size_t i = 0; i < query_alphabet.size(); ++i) {
-      if (!revision_alphabet.Contains(query_alphabet.var(i))) {
-        extra_positions.push_back(i);
-      }
-    }
-    for (uint64_t bits = 0; bits < (uint64_t{1} << extra_positions.size());
-         ++bits) {
-      Interpretation extended = base;
-      for (size_t j = 0; j < extra_positions.size(); ++j) {
-        extended.Set(extra_positions[j], (bits >> j) & 1);
-      }
-      if (!Evaluate(q, query_alphabet, extended)) return false;
-    }
-  }
-  return true;
+  // Letters of q outside V(T) ∪ V(P) are unconstrained in T * P;
+  // EntailedByModels quantifies them universally.
+  return EntailedByModels(ReviseModels(t, p, RevisionAlphabet(t, p)), q);
 }
 
 bool RevisionOperator::IsModel(const Theory& t, const Formula& p,

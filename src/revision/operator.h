@@ -62,8 +62,9 @@ class RevisionOperator {
   [[nodiscard]] virtual Formula ReviseFormula(const Theory& t,
                                               const Formula& p) const;
 
-  // T * P |= q.  q must use only letters of V(T) ∪ V(P) ∪ V(q); letters
-  // outside V(T) ∪ V(P) are unconstrained in T * P.
+  // T * P |= q.  Letters of q outside V(T) ∪ V(P) are unconstrained in
+  // T * P, so q must hold for every value of them; there is no bound on
+  // how many there are (EntailedByModels, solve/services.h).
   [[nodiscard]] bool Entails(const Theory& t, const Formula& p,
                              const Formula& q) const;
 

@@ -1,5 +1,6 @@
 #include "solve/services.h"
 
+#include "logic/evaluate.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "obs/profile.h"
@@ -64,6 +65,46 @@ bool Entails(const Formula& a, const Formula& b) {
   context.Assert(a);
   context.Assert(Formula::Not(b));
   return !context.Solve();
+}
+
+bool EntailedByModels(const ModelSet& models, const Formula& q) {
+  obs::ProfileScope profile("solve.entailed_by_models");
+  if (models.empty()) return true;
+  // S = V(q) ∩ A(M) is all q can see of a model; Y = V(q) \ A(M) ranges
+  // freely.
+  std::vector<Var> shared_vars;
+  bool has_outside = false;
+  for (const Var v : q.Vars()) {
+    if (models.alphabet().Contains(v)) {
+      shared_vars.push_back(v);
+    } else {
+      has_outside = true;
+    }
+  }
+  const ModelSet projections =
+      models.ProjectTo(Alphabet(std::move(shared_vars)));
+  const Alphabet& shared = projections.alphabet();
+  if (!has_outside) {
+    for (const Interpretation& m : projections) {
+      if (!Evaluate(q, shared, m)) return false;
+    }
+    return true;
+  }
+  // A projection is a countermodel iff it extends to a model of !q.
+  SatContext context;
+  context.Assert(Formula::Not(q));
+  std::vector<sat::Lit> shared_lits(shared.size());
+  for (size_t i = 0; i < shared.size(); ++i) {
+    shared_lits[i] = sat::PosLit(context.SatVarOf(shared.var(i)));
+  }
+  std::vector<sat::Lit> assumptions(shared.size());
+  for (const Interpretation& m : projections) {
+    for (size_t i = 0; i < shared.size(); ++i) {
+      assumptions[i] = m.Get(i) ? shared_lits[i] : sat::Negate(shared_lits[i]);
+    }
+    if (context.Solve(assumptions)) return false;
+  }
+  return true;
 }
 
 bool AreEquivalent(const Formula& a, const Formula& b) {

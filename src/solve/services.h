@@ -17,6 +17,16 @@ namespace revise {
 // a |= b.
 [[nodiscard]] bool Entails(const Formula& a, const Formula& b);
 
+// DNF(models) |= q, decided on the model set itself; the same answer as
+// Entails(CanonicalDnf(models), q) without building or encoding the DNF.
+// Letters of q outside models.alphabet() are unconstrained: q must hold
+// under every value of them.  Only the projections of the models onto the
+// letters q shares with the alphabet matter, so each distinct projection
+// is checked once: by Evaluate when q has no outside letters, otherwise by
+// one assumption-based SAT call on a single encoding of !q.  The empty
+// set entails everything.
+[[nodiscard]] bool EntailedByModels(const ModelSet& models, const Formula& q);
+
 // Logical equivalence: a |= b and b |= a.
 [[nodiscard]] bool AreEquivalent(const Formula& a, const Formula& b);
 

@@ -1,13 +1,19 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <string>
+#include <vector>
+
+#include <unistd.h>
 
 #include "core/advice_oracle.h"
 #include "core/knowledge_base.h"
 #include "core/io.h"
+#include "core/kb_artifact.h"
 #include "core/librevise.h"  // umbrella must be self-contained
 #include "hardness/random_instances.h"
 #include "logic/parser.h"
+#include "model/canonical.h"
 #include "revision/formula_based.h"
 #include "revision/iterated.h"
 #include "solve/services.h"
@@ -137,6 +143,98 @@ TEST(KnowledgeBaseTest, IsModelMatchesModels) {
     const Interpretation m = Interpretation::FromIndex(alphabet.size(), v);
     EXPECT_EQ(models.Contains(m), kb.IsModel(m, alphabet));
   }
+}
+
+TEST(KnowledgeBaseTest, StrategiesAgreeOnQueriesBeyondTheKbLetters) {
+  // Ask and IsModel under all three strategies, with queries and model
+  // alphabets that reach letters the KB never mentions.
+  Vocabulary vocabulary;
+  const Theory t = Theory::ParseOrDie("a & b; c -> a", &vocabulary);
+  const std::vector<Formula> updates = {ParseOrDie("!a | !b", &vocabulary),
+                                        ParseOrDie("c | !b", &vocabulary)};
+  const Var outside = vocabulary.Intern("out0");
+  const std::vector<Formula> queries = {
+      ParseOrDie("a | b", &vocabulary),
+      ParseOrDie("a | b | out0", &vocabulary),
+      ParseOrDie("(a ^ b) | (out0 & out1)", &vocabulary),
+      ParseOrDie("out0 -> (c | !c)", &vocabulary),
+      ParseOrDie("out2", &vocabulary),
+      ParseOrDie("(out1 <-> a) | (out1 <-> !a)", &vocabulary),
+      ParseOrDie("c & out2", &vocabulary)};
+  for (const OperatorId id :
+       {OperatorId::kDalal, OperatorId::kWeber, OperatorId::kWinslett,
+        OperatorId::kSatoh}) {
+    const RevisionOperator* op = OperatorById(id);
+    std::vector<KnowledgeBase> kbs;
+    for (const RevisionStrategy strategy :
+         {RevisionStrategy::kDelayed, RevisionStrategy::kExplicit,
+          RevisionStrategy::kCompact}) {
+      StatusOr<KnowledgeBase> kb =
+          KnowledgeBase::Create(t, op, strategy, &vocabulary);
+      ASSERT_TRUE(kb.ok());
+      kbs.push_back(*std::move(kb));
+    }
+    for (const Formula& p : updates) {
+      for (KnowledgeBase& kb : kbs) kb.Revise(p);
+      for (const Formula& query : queries) {
+        const bool expected = kbs[0].Ask(query);
+        EXPECT_EQ(expected, Entails(CanonicalDnf(kbs[0].Models()), query))
+            << op->name();
+        EXPECT_EQ(expected, kbs[1].Ask(query)) << op->name();
+        EXPECT_EQ(expected, kbs[2].Ask(query)) << op->name();
+      }
+      // Interpretations over the KB letters plus one outside letter.
+      std::vector<Var> vars = kbs[0].CurrentAlphabet().vars();
+      vars.push_back(outside);
+      const Alphabet wide(vars);
+      for (uint64_t v = 0; v < (uint64_t{1} << wide.size()); ++v) {
+        const Interpretation m = Interpretation::FromIndex(wide.size(), v);
+        const bool expected = kbs[0].IsModel(m, wide);
+        EXPECT_EQ(expected, kbs[1].IsModel(m, wide)) << op->name();
+        EXPECT_EQ(expected, kbs[2].IsModel(m, wide)) << op->name();
+      }
+    }
+  }
+}
+
+TEST(KnowledgeBaseTest, DelayedKbLoadedFromArtifactAnswersAcrossRevise) {
+  Vocabulary vocabulary;
+  StatusOr<KnowledgeBase> kb = KnowledgeBase::Create(
+      Theory::ParseOrDie("a & b & c", &vocabulary),
+      OperatorById(OperatorId::kDalal), RevisionStrategy::kDelayed,
+      &vocabulary);
+  ASSERT_TRUE(kb.ok());
+  kb->Revise(ParseOrDie("!a | !b", &vocabulary));
+  const std::string path = (std::filesystem::temp_directory_path() /
+                            ("core_delayed_" + std::to_string(::getpid()) +
+                             ".rkb"))
+                               .string();
+  ASSERT_TRUE(SaveKnowledgeBaseArtifact(*kb, path).ok());
+  Vocabulary fresh;
+  StatusOr<KnowledgeBase> loaded = LoadKnowledgeBaseArtifact(path, &fresh);
+  std::filesystem::remove(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  // Before any Revise, from the memo the artifact seeded: Dalal keeps
+  // c and exactly one of a, b.
+  EXPECT_TRUE(loaded->Ask(ParseOrDie("c & (a ^ b)", &fresh)));
+  EXPECT_FALSE(loaded->Ask(ParseOrDie("a", &fresh)));
+  EXPECT_FALSE(loaded->Ask(ParseOrDie("c & z", &fresh)));
+  EXPECT_TRUE(loaded->Ask(ParseOrDie("c | z", &fresh)));
+  const Alphabet before = loaded->CurrentAlphabet();
+  Interpretation m(before.size());
+  m.Set(*before.IndexOf(fresh.Find("a")), true);
+  m.Set(*before.IndexOf(fresh.Find("c")), true);
+  EXPECT_TRUE(loaded->IsModel(m, before));
+  // The first Revise drops the seeded memo; answers follow the new state.
+  loaded->Revise(ParseOrDie("!c & z", &fresh));
+  EXPECT_TRUE(loaded->Ask(ParseOrDie("!c & z & (a ^ b)", &fresh)));
+  EXPECT_FALSE(loaded->Ask(ParseOrDie("c", &fresh)));
+  const Alphabet after = loaded->CurrentAlphabet();
+  Interpretation n(after.size());
+  n.Set(*after.IndexOf(fresh.Find("b")), true);
+  n.Set(*after.IndexOf(fresh.Find("z")), true);
+  EXPECT_TRUE(loaded->IsModel(n, after));
+  EXPECT_FALSE(loaded->IsModel(Reinterpret(m, before, after), after));
 }
 
 TEST(KnowledgeBaseTest, StoredSizeReflectsStrategy) {

@@ -248,36 +248,6 @@ TEST(InclusionFilterTest, HandlesEmptyAndSingleton) {
   EXPECT_EQ(std::vector<Interpretation>{m}, MaximalUnderInclusion({m, m}));
 }
 
-TEST(InterpretationPrimitiveTest, CappedDistanceAgreesWithExact) {
-  Rng rng(1234);
-  for (int round = 0; round < 200; ++round) {
-    const size_t bits = 1 + rng.Below(130);  // spans multiple words
-    const Interpretation a = RandomInterpretation(bits, &rng);
-    const Interpretation b = RandomInterpretation(bits, &rng);
-    const size_t exact = a.HammingDistance(b);
-    for (const size_t cap : {size_t{0}, exact / 2, exact, exact + 3}) {
-      const size_t capped = a.HammingDistanceCapped(b, cap);
-      if (exact <= cap) {
-        EXPECT_EQ(exact, capped);
-      } else {
-        EXPECT_EQ(cap + 1, capped);
-      }
-    }
-  }
-}
-
-TEST(InterpretationPrimitiveTest, DiffersOutsideAgreesWithSubsetTest) {
-  Rng rng(555);
-  for (int round = 0; round < 200; ++round) {
-    const size_t bits = 1 + rng.Below(130);
-    const Interpretation a = RandomInterpretation(bits, &rng);
-    const Interpretation b = RandomInterpretation(bits, &rng);
-    const Interpretation mask = RandomInterpretation(bits, &rng);
-    EXPECT_EQ(!a.SymmetricDifference(b).IsSubsetOf(mask),
-              a.DiffersOutside(b, mask));
-  }
-}
-
 // ---------------------------------------------------------------------------
 // Model cache
 // ---------------------------------------------------------------------------

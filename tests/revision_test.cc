@@ -557,6 +557,41 @@ TEST(EntailmentTest, QueriesWithFreshLettersAreUnconstrained) {
   EXPECT_TRUE(dalal.Entails(t, p, ParseOrDie("z9 | !z9", &vocabulary)));
 }
 
+TEST(EntailmentTest, QueriesWithTwentyFourFreshLettersAreAnswered) {
+  // Each model of T * P has 2^24 extensions to the query's letters; the
+  // answer must come from the model set, not from enumerating them.
+  Vocabulary vocabulary;
+  const Theory t = Theory::ParseOrDie("a & b", &vocabulary);
+  const Formula p = ParseOrDie("!a | !b", &vocabulary);
+  std::vector<Formula> fresh;
+  for (int i = 0; i < 24; ++i) {
+    fresh.push_back(
+        Formula::Variable(vocabulary.Intern("w" + std::to_string(i))));
+  }
+  const Formula all = ConjoinAll(fresh);
+  const Formula any = DisjoinAll(fresh);
+  const Formula a = ParseOrDie("a", &vocabulary);
+  const Formula b = ParseOrDie("b", &vocabulary);
+  // Dalal: T * P = a xor b.
+  const DalalOperator dalal;
+  const struct {
+    Formula query;
+    bool entailed;
+  } cases[] = {
+      {Formula::Or(Formula::Or(a, b), all), true},
+      {Formula::Implies(all, Formula::Xor(a, b)), true},
+      {Formula::Or(Formula::Iff(a, Formula::Not(b)), any), true},
+      {Formula::Or(Formula::And(a, b), any), false},
+      {Formula::Or(a, any), false},
+      {Formula::Implies(any, a), false},
+  };
+  const ModelSet revised = dalal.ReviseModels(t, p, RevisionAlphabet(t, p));
+  for (const auto& c : cases) {
+    EXPECT_EQ(c.entailed, dalal.Entails(t, p, c.query));
+    EXPECT_EQ(c.entailed, Entails(CanonicalDnf(revised), c.query));
+  }
+}
+
 TEST(EntailmentTest, IsModelMatchesReviseModels) {
   Vocabulary vocabulary;
   const Theory t = Theory::ParseOrDie("a & b & c", &vocabulary);

@@ -5,6 +5,7 @@
 #include "hardness/random_instances.h"
 #include "logic/parser.h"
 #include "logic/printer.h"
+#include "model/canonical.h"
 #include "model/model_set.h"
 #include "obs/metrics.h"
 #include "solve/distance.h"
@@ -37,6 +38,58 @@ TEST(ServicesTest, BasicEntailment) {
   EXPECT_TRUE(Entails(a_and_b, a_or_b));
   EXPECT_FALSE(Entails(a_or_b, a));
   EXPECT_TRUE(Entails(Formula::False(), a));
+}
+
+TEST(ServicesTest, EntailedByModelsEdgeCases) {
+  Vocabulary vocabulary;
+  const Formula a = ParseOrDie("a", &vocabulary);
+  const Formula z = ParseOrDie("z", &vocabulary);
+  const Alphabet alphabet({vocabulary.Find("a")});
+  const ModelSet only_a(alphabet, {Interpretation::FromIndex(1, 1)});
+  // The empty set entails everything, even false.
+  EXPECT_TRUE(EntailedByModels(ModelSet(alphabet, {}), Formula::False()));
+  EXPECT_TRUE(EntailedByModels(only_a, a));
+  EXPECT_FALSE(EntailedByModels(only_a, Formula::Not(a)));
+  EXPECT_TRUE(EntailedByModels(only_a, Formula::True()));
+  EXPECT_FALSE(EntailedByModels(only_a, Formula::False()));
+  // z lies outside the alphabet, so it is unconstrained.
+  EXPECT_FALSE(EntailedByModels(only_a, z));
+  EXPECT_TRUE(EntailedByModels(only_a, Formula::Or(z, Formula::Not(z))));
+  EXPECT_TRUE(EntailedByModels(only_a, Formula::Or(a, z)));
+  EXPECT_FALSE(EntailedByModels(only_a, Formula::And(a, z)));
+  // The single model over the empty alphabet: only tautologies follow.
+  const ModelSet everything(Alphabet(), {Interpretation(0)});
+  EXPECT_FALSE(EntailedByModels(everything, a));
+  EXPECT_TRUE(EntailedByModels(everything, Formula::Implies(a, a)));
+}
+
+TEST(ServicesTest, EntailedByModelsMatchesCanonicalDnfEntailment) {
+  Vocabulary vocabulary;
+  std::vector<Var> inside;
+  std::vector<Var> all;
+  for (int i = 0; i < 6; ++i) {
+    const Var v = vocabulary.Intern("e" + std::to_string(i));
+    if (i < 4) inside.push_back(v);
+    all.push_back(v);
+  }
+  const Alphabet alphabet(inside);
+  Rng rng(4242);
+  for (int round = 0; round < 200; ++round) {
+    std::vector<Interpretation> models;
+    for (uint64_t index = 0; index < 16; ++index) {
+      if (rng.Below(3) == 0) {
+        models.push_back(Interpretation::FromIndex(4, index));
+      }
+    }
+    const ModelSet set(alphabet, std::move(models));
+    // Queries over the alphabet alone and over two letters outside it.
+    for (const std::vector<Var>* vars : {&inside, &all}) {
+      const Formula query = RandomFormula(*vars, 3, &rng);
+      EXPECT_EQ(Entails(CanonicalDnf(set), query),
+                EntailedByModels(set, query))
+          << "round " << round << ": " << ToString(query, vocabulary);
+    }
+  }
 }
 
 TEST(ServicesTest, IntroExampleRevisionConclusion) {
