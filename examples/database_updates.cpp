@@ -69,10 +69,14 @@ int main() {
   };
 
   const RevisionOperator* winslett = OperatorById(OperatorId::kWinslett);
-  KnowledgeBase delayed(db, winslett, RevisionStrategy::kDelayed,
-                        &vocabulary);
-  KnowledgeBase compact(db, winslett, RevisionStrategy::kCompact,
-                        &vocabulary);
+  KnowledgeBase delayed =
+      KnowledgeBase::Create(db, winslett, RevisionStrategy::kDelayed,
+                            &vocabulary)
+          .value();
+  KnowledgeBase compact =
+      KnowledgeBase::Create(db, winslett, RevisionStrategy::kCompact,
+                            &vocabulary)
+          .value();
 
   std::printf("\n%-6s %-28s %14s %14s\n", "step", "update", "delayed size",
               "compact size");

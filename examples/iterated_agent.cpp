@@ -50,8 +50,10 @@ int main() {
   // lit after each revision.
   std::vector<KnowledgeBase> agents;
   for (const RevisionOperator* op : AllOperators()) {
-    agents.emplace_back(house, op, RevisionStrategy::kDelayed,
-                        &vocabulary);
+    agents.push_back(KnowledgeBase::Create(house, op,
+                                           RevisionStrategy::kDelayed,
+                                           &vocabulary)
+                         .value());
   }
   for (size_t step = 0; step < readings.size(); ++step) {
     std::printf("%-10s", ToString(readings[step], vocabulary)
@@ -80,12 +82,19 @@ int main() {
   // Storage comparison for Dalal: delayed vs compact vs explicit.
   std::printf("\nstorage growth under Dalal:\n%-6s %10s %10s %10s\n",
               "step", "delayed", "compact", "explicit");
-  KnowledgeBase delayed(house, OperatorById(OperatorId::kDalal),
-                        RevisionStrategy::kDelayed, &vocabulary);
-  KnowledgeBase compact(house, OperatorById(OperatorId::kDalal),
-                        RevisionStrategy::kCompact, &vocabulary);
-  KnowledgeBase explicit_kb(house, OperatorById(OperatorId::kDalal),
-                            RevisionStrategy::kExplicit, &vocabulary);
+  const RevisionOperator* dalal = OperatorById(OperatorId::kDalal);
+  KnowledgeBase delayed =
+      KnowledgeBase::Create(house, dalal, RevisionStrategy::kDelayed,
+                            &vocabulary)
+          .value();
+  KnowledgeBase compact =
+      KnowledgeBase::Create(house, dalal, RevisionStrategy::kCompact,
+                            &vocabulary)
+          .value();
+  KnowledgeBase explicit_kb =
+      KnowledgeBase::Create(house, dalal, RevisionStrategy::kExplicit,
+                            &vocabulary)
+          .value();
   for (size_t step = 0; step < readings.size(); ++step) {
     delayed.Revise(readings[step]);
     compact.Revise(readings[step]);

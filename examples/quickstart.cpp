@@ -31,16 +31,22 @@ int main() {
   std::printf("new information P:     !g      (George is in the corridor)\n\n");
 
   // --- Revision: Dalal's operator. ---
-  KnowledgeBase revision(belief, OperatorById(OperatorId::kDalal),
-                         RevisionStrategy::kDelayed, &vocabulary);
+  // Create rejects operator/strategy pairs the paper rules out (compact
+  // GFUV or Nebel); value() aborts on such an error.
+  KnowledgeBase revision =
+      KnowledgeBase::Create(belief, OperatorById(OperatorId::kDalal),
+                            RevisionStrategy::kDelayed, &vocabulary)
+          .value();
   revision.Revise(observation);
   std::printf("[revision, Dalal]   T * P |= b ?   %s\n",
               revision.Ask(bill_in_office) ? "yes -- the voice was Bill's"
                                            : "no");
 
   // --- Update: Winslett's possible-models approach. ---
-  KnowledgeBase update(belief, OperatorById(OperatorId::kWinslett),
-                       RevisionStrategy::kDelayed, &vocabulary);
+  KnowledgeBase update =
+      KnowledgeBase::Create(belief, OperatorById(OperatorId::kWinslett),
+                            RevisionStrategy::kDelayed, &vocabulary)
+          .value();
   update.Revise(observation);
   std::printf("[update, Winslett]  T * P |= b ?   %s\n\n",
               update.Ask(bill_in_office)

@@ -1,12 +1,35 @@
 #include "core/knowledge_base.h"
 
 #include "compact/iterated_revision.h"
+#include "model/canonical.h"
 #include "revision/formula_based.h"
 #include "revision/iterated.h"
 #include "solve/services.h"
 #include "util/check.h"
 
 namespace revise {
+
+namespace {
+
+// `models` re-expressed over `target`.  Letters outside `target` are
+// projected away, which is exact only because the caller passes a model
+// set on which they are unconstrained; letters new in `target` take both
+// values.
+ModelSet OverAlphabet(const ModelSet& models, const Alphabet& target) {
+  if (models.alphabet() == target) return models;
+  std::vector<Interpretation> rows = models.ProjectTo(target).models();
+  for (size_t i = 0; i < target.size(); ++i) {
+    if (models.alphabet().Contains(target.var(i))) continue;
+    const size_t n = rows.size();
+    for (size_t r = 0; r < n; ++r) {
+      rows.push_back(rows[r]);
+      rows.back().Set(i, true);
+    }
+  }
+  return ModelSet(target, std::move(rows));
+}
+
+}  // namespace
 
 KnowledgeBase::KnowledgeBase(Theory initial, const RevisionOperator* op,
                              RevisionStrategy strategy,
@@ -53,6 +76,13 @@ StatusOr<KnowledgeBase> KnowledgeBase::FromSnapshot(
 
 void KnowledgeBase::Revise(const Formula& p) {
   updates_.push_back(p);
+  if (strategy_ == RevisionStrategy::kExplicit) {
+    if (const auto* model_based =
+            dynamic_cast<const ModelBasedOperator*>(op_)) {
+      FoldModels(*model_based, p);
+      return;
+    }
+  }
   models_memo_.reset();
   switch (strategy_) {
     case RevisionStrategy::kDelayed:
@@ -106,6 +136,31 @@ void KnowledgeBase::Revise(const Formula& p) {
   }
 }
 
+void KnowledgeBase::FoldModels(const ModelBasedOperator& op,
+                               const Formula& p) {
+  // The fold is ReviseFormula(folded_theory_, p): the canonical DNF of the
+  // revised model set over RevisionAlphabet(folded_theory_, p).  Revise
+  // the memo when there is one (its letters beyond that alphabet are
+  // absent from folded_, hence unconstrained), render the DNF, and keep
+  // the set as the new memo.
+  const Alphabet alphabet = RevisionAlphabet(folded_theory_, p);
+  ModelSet revised = op.ReviseModelSet(
+      models_memo_.has_value()
+          ? OverAlphabet(*models_memo_, alphabet)
+          : EnumerateModels(folded_theory_.AsFormula(), alphabet),
+      p);
+  folded_ = CanonicalDnf(revised);
+  folded_theory_ = Theory({folded_});
+  // The alphabets differ only after a step left folded_ = False: the
+  // older letters are then unconstrained, and multiplying them out is
+  // left to Models().
+  if (alphabet == CurrentAlphabet()) {
+    models_memo_ = std::move(revised);
+  } else {
+    models_memo_.reset();
+  }
+}
+
 Alphabet KnowledgeBase::CurrentAlphabet() const {
   return IteratedAlphabet(initial_, updates_);
 }
@@ -135,9 +190,14 @@ bool KnowledgeBase::Ask(const Formula& query) const {
     // are unconstrained; EntailedByModels quantifies them universally.
     return EntailedByModels(MemoizedModels(), query);
   }
-  // Explicit / compact: plain entailment on the stored formula.  Under
-  // kCompact this is sound for queries over the original letters by
-  // query equivalence (criterion (1)).
+  // Explicit: the memo and folded_ have the same models, so answer on the
+  // memo when there is one, but never fill it here.
+  if (strategy_ == RevisionStrategy::kExplicit && models_memo_.has_value()) {
+    return EntailedByModels(*models_memo_, query);
+  }
+  // Otherwise plain entailment on the stored formula.  Under kCompact
+  // this is sound for queries over the original letters by query
+  // equivalence (criterion (1)).
   return Entails(folded_, query);
 }
 

@@ -13,7 +13,11 @@
 //                (EntailedByModels), never re-encoding it as a formula.
 //  * kExplicit — eagerly fold every revision into an explicit equivalent
 //                formula.  Sizes can explode exactly where Tables 1-2 say
-//                NO; ExplicitSize() exposes the growth.
+//                NO; StoredSize() exposes the growth.  For the six
+//                model-based operators that formula is the canonical DNF
+//                of the revised model set, so Revise keeps the set as the
+//                model-set memo and the next Revise starts from it: the
+//                DNF is rendered, never enumerated back.
 //  * kCompact  — eagerly fold using the paper's query-equivalent compact
 //                constructions (Theorem 5.1 for Dalal, Corollary 5.2 for
 //                Weber, the Section 6 schemes for Winslett / Borgida /
@@ -42,13 +46,9 @@ enum class RevisionStrategy { kDelayed, kExplicit, kCompact };
 class KnowledgeBase {
  public:
   // `vocabulary` must outlive the knowledge base (fresh letters are minted
-  // by the compact strategy).
-  KnowledgeBase(Theory initial, const RevisionOperator* op,
-                RevisionStrategy strategy, Vocabulary* vocabulary);
-
-  // Unsupported combinations (kCompact with GFUV or Nebel, whose very
-  // point in the paper is that no compact representation exists) yield an
-  // error.
+  // by the compact strategy).  Unsupported combinations (kCompact with
+  // GFUV or Nebel, whose very point in the paper is that no compact
+  // representation exists) yield an error.
   static StatusOr<KnowledgeBase> Create(Theory initial,
                                         const RevisionOperator* op,
                                         RevisionStrategy strategy,
@@ -73,8 +73,12 @@ class KnowledgeBase {
 
   // Does the (iterated-)revised knowledge base entail `query`?  Letters
   // of `query` outside the KB are unconstrained.  kDelayed answers on the
-  // memoized model set; kExplicit / kCompact run SAT entailment on the
-  // stored formula.
+  // model-set memo, filling it first if needed.  kExplicit answers on the
+  // memo when one is present (after a model-based Revise, after Models()
+  // or IsModel, or after a cold start from .rkb) and otherwise runs SAT
+  // entailment on the stored formula; it never fills the memo, since a
+  // formula-based result can be exponentially larger as a model set.
+  // kCompact runs SAT entailment on the stored formula.
   [[nodiscard]] bool Ask(const Formula& query) const;
 
   // Is `m` (over `alphabet` ⊇ the KB's letters) a model of the revised
@@ -85,7 +89,8 @@ class KnowledgeBase {
   [[nodiscard]] bool IsModel(const Interpretation& m,
                              const Alphabet& alphabet) const;
 
-  // The models of the current knowledge base over its letters.
+  // The models of the current knowledge base over its letters: the memo,
+  // whose rows the returned set shares (model/model_set.h).
   [[nodiscard]] ModelSet Models() const;
 
   // The letters of the original theory and all revisions so far.
@@ -104,6 +109,11 @@ class KnowledgeBase {
   const Theory& folded_theory() const { return folded_theory_; }
 
  private:
+  KnowledgeBase(Theory initial, const RevisionOperator* op,
+                RevisionStrategy strategy, Vocabulary* vocabulary);
+
+  // Revise under kExplicit with a model-based operator.
+  void FoldModels(const ModelBasedOperator& op, const Formula& p);
   ModelSet ComputeModels() const;
   // The Models() memo, filled on first use; Ask and IsModel read it in
   // place instead of copying it.
@@ -121,10 +131,11 @@ class KnowledgeBase {
   // WIDTIO folds theories, not formulas.
   Theory folded_theory_;
 
-  // Memo behind Models(), Ask (kDelayed) and IsModel: filled on first
-  // computation (or seeded from a loaded artifact), invalidated by
-  // Revise.  KnowledgeBase is a single-threaded object, as before —
-  // concurrent const access is not synchronized.
+  // Memo behind Models(), Ask and IsModel, over CurrentAlphabet(): filled
+  // on first computation (or seeded from a loaded artifact), replaced by
+  // the revised model set on a model-based kExplicit Revise, dropped by
+  // every other Revise.  KnowledgeBase is a single-threaded object, as
+  // before — concurrent const access is not synchronized.
   mutable std::optional<ModelSet> models_memo_;
 };
 

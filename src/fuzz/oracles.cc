@@ -26,6 +26,7 @@
 #include "model/canonical.h"
 #include "model/model_set.h"
 #include "obs/metrics.h"
+#include "revision/iterated.h"
 #include "revision/model_based.h"
 #include "revision/operator.h"
 #include "solve/model_cache.h"
@@ -467,6 +468,69 @@ std::optional<std::string> EntailmentOracle(const Scenario& s) {
   return std::nullopt;
 }
 
+// An explicit KnowledgeBase revised by P and then by Q, under each of the
+// nine operators: the model-set memo and Ask must match the folded
+// formula they stand for, and under a model-based operator the fold must
+// be the operator's own ReviseFormula chain.  y is a fresh letter, so
+// "Q | y" is a query beyond the KB's letters.
+std::optional<std::string> ExplicitFoldOracle(const Scenario& s) {
+  if (IteratedAlphabet(s.t, {s.p, s.q}).size() > kMaxOracleAlphabet) {
+    return std::nullopt;
+  }
+  const Formula y = Formula::Variable(s.vocabulary->Fresh("y"));
+  const struct {
+    const char* name;
+    Formula query;
+  } queries[] = {{"Q", s.q},
+                 {"!Q", Formula::Not(s.q)},
+                 {"P", s.p},
+                 {"Q | y", Formula::Or(s.q, y)}};
+  for (const RevisionOperator* op : AllOperators()) {
+    StatusOr<KnowledgeBase> kb = KnowledgeBase::Create(
+        s.t, op, RevisionStrategy::kExplicit, s.vocabulary.get());
+    if (!kb.ok()) {
+      return std::string(op->name()) +
+             ": Create failed: " + kb.status().ToString();
+    }
+    const bool model_based = !op->is_formula_based();
+    Theory previous = s.t;
+    const std::pair<const char*, Formula> steps[] = {{"P", s.p},
+                                                     {"Q", s.q}};
+    for (const auto& [step, update] : steps) {
+      const std::string name = std::string(op->name()) + " after " + step;
+      const Formula expected =
+          model_based ? op->ReviseFormula(previous, update) : Formula();
+      kb->Revise(update);
+      if (model_based) {
+        if (!kb->folded().StructurallyEqual(expected)) {
+          return name + ": folded() differs from ReviseFormula";
+        }
+        previous = Theory({expected});
+      }
+      // Ask first on whatever memo Revise left, then after Models().
+      for (int pass = 0; pass < 2; ++pass) {
+        for (const auto& [query_name, query] : queries) {
+          if (kb->Ask(query) != Entails(kb->folded(), query)) {
+            return name + ": Ask(" + query_name +
+                   ") differs from SAT entailment on folded()" +
+                   (pass == 0 ? "" : " after Models()");
+          }
+        }
+        if (pass == 0) {
+          const ModelSet got = kb->Models();
+          const ModelSet want =
+              EnumerateModels(kb->folded(), kb->CurrentAlphabet(), 0);
+          if (!(got == want)) {
+            return name + ": Models() differs from the models of folded() (" +
+                   SetSizes(got, want) + ")";
+          }
+        }
+      }
+    }
+  }
+  return std::nullopt;
+}
+
 std::optional<std::string> PostulatesOracle(const Scenario& s) {
   const Alphabet x = RevisionAlphabet(s.t, s.p);
   if (x.size() > kMaxOracleAlphabet) return std::nullopt;
@@ -681,6 +745,9 @@ const std::vector<Oracle> kOracles = {
     {"entailment",
      "EntailedByModels vs SAT entailment on the canonical DNF",
      EntailmentOracle},
+    {"explicit-fold",
+     "explicit KB revised by P then Q: memo and Ask vs the folded formula",
+     ExplicitFoldOracle},
     {"postulates",
      "KM laws: success, consistency, vacuity, U2, idempotence",
      PostulatesOracle},

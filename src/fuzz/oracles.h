@@ -28,6 +28,12 @@
 //                         DNF, for the empty set and each model-based
 //                         operator's revision, on Q, Q | y, Q & y and
 //                         Q <-> y with y a fresh letter.
+//   explicit-fold         an explicit KnowledgeBase revised by P then Q
+//                         under each of the nine operators: Models() vs
+//                         the models of folded(), Ask vs SAT entailment on
+//                         folded() (Q, !Q, P, Q | y with y fresh), and
+//                         for the model-based operators folded() vs the
+//                         operator's ReviseFormula chain.
 //   postulates            the KM laws every one of the six operators must
 //                         satisfy (success, consistency, update vacuity,
 //                         idempotence) and revision vacuity for the four

@@ -5,6 +5,7 @@
 #ifndef REVISE_MODEL_MODEL_SET_H_
 #define REVISE_MODEL_MODEL_SET_H_
 
+#include <memory>
 #include <vector>
 
 #include "logic/interpretation.h"
@@ -12,17 +13,23 @@
 namespace revise {
 
 // A canonical (sorted, duplicate-free) set of interpretations over one
-// alphabet.  The alphabet is carried for self-description.
+// alphabet.  The alphabet is carried for self-description.  A ModelSet
+// never changes once built, so copies share its rows: a copy (the
+// KnowledgeBase memo handed out by Models(), a model-cache hit) makes no
+// per-model allocation.  Moves are copies, so a moved-from set keeps its
+// rows.
 class ModelSet {
  public:
-  ModelSet() = default;
+  ModelSet();
   ModelSet(Alphabet alphabet, std::vector<Interpretation> models);
+  ModelSet(const ModelSet&) = default;
+  ModelSet& operator=(const ModelSet&) = default;
 
   const Alphabet& alphabet() const { return alphabet_; }
-  const std::vector<Interpretation>& models() const { return models_; }
-  size_t size() const { return models_.size(); }
-  bool empty() const { return models_.empty(); }
-  const Interpretation& operator[](size_t i) const { return models_[i]; }
+  const std::vector<Interpretation>& models() const { return *models_; }
+  size_t size() const { return models_->size(); }
+  bool empty() const { return models_->empty(); }
+  const Interpretation& operator[](size_t i) const { return (*models_)[i]; }
 
   bool Contains(const Interpretation& m) const;
   // Subset relation as sets of interpretations (alphabets must match).
@@ -36,15 +43,15 @@ class ModelSet {
   ModelSet ProjectTo(const Alphabet& target) const;
 
   bool operator==(const ModelSet& other) const {
-    return alphabet_ == other.alphabet_ && models_ == other.models_;
+    return alphabet_ == other.alphabet_ && *models_ == *other.models_;
   }
 
-  auto begin() const { return models_.begin(); }
-  auto end() const { return models_.end(); }
+  auto begin() const { return models_->begin(); }
+  auto end() const { return models_->end(); }
 
  private:
   Alphabet alphabet_;
-  std::vector<Interpretation> models_;
+  std::shared_ptr<const std::vector<Interpretation>> models_;  // never null
 };
 
 // The paper's minc S / maxc S over a family of letter-sets (represented as

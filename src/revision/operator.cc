@@ -37,13 +37,17 @@ bool RevisionOperator::IsModel(const Theory& t, const Formula& p,
   return revised.Contains(m);
 }
 
-ModelSet ModelBasedOperator::ReviseModels(const Theory& t, const Formula& p,
-                                          const Alphabet& alphabet) const {
+ModelSet ModelBasedOperator::ReviseModelSet(const ModelSet& mt,
+                                            const Formula& p) const {
   obs::ProfileScope profile("revise.", name());
   obs::FlightOpScope flight(name());
   REVISE_OBS_COUNTER("revise.operations").Increment();
-  const ModelSet mt = EnumerateModels(t.AsFormula(), alphabet);
-  return ReviseModelsAuto(id(), mt, p, alphabet);
+  return ReviseModelsAuto(id(), mt, p, mt.alphabet());
+}
+
+ModelSet ModelBasedOperator::ReviseModels(const Theory& t, const Formula& p,
+                                          const Alphabet& alphabet) const {
+  return ReviseModelSet(EnumerateModels(t.AsFormula(), alphabet), p);
 }
 
 ModelSet WinslettOperator::ReviseModelSets(const ModelSet& mt,

@@ -84,6 +84,15 @@ class ModelBasedOperator : public RevisionOperator {
   [[nodiscard]] virtual ModelSet ReviseModelSets(const ModelSet& mt,
                                                  const ModelSet& mp) const = 0;
 
+  // One revision step on model sets: M(T * P) over mt's alphabet, which
+  // must contain V(P), from `mt` = M(T) over that alphabet.  The one entry
+  // point behind ReviseModels and the explicit KnowledgeBase fold (which
+  // passes the model set it already holds); it owns the revise.<name>
+  // profile and flight scopes and the revise.operations counter.
+  [[nodiscard]] ModelSet ReviseModelSet(const ModelSet& mt,
+                                        const Formula& p) const;
+
+  // ReviseModelSet on M(T) enumerated over `alphabet`.
   ModelSet ReviseModels(const Theory& t, const Formula& p,
                         const Alphabet& alphabet) const override;
 };

@@ -2,6 +2,7 @@
 
 #include <filesystem>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include <unistd.h>
@@ -14,6 +15,7 @@
 #include "hardness/random_instances.h"
 #include "logic/parser.h"
 #include "model/canonical.h"
+#include "obs/metrics.h"
 #include "revision/formula_based.h"
 #include "revision/iterated.h"
 #include "solve/services.h"
@@ -25,26 +27,52 @@ namespace {
 
 using ::revise::testing::BruteForceSat;
 
+// Create, for the operator/strategy pairs it accepts.
+KnowledgeBase MakeKb(const Theory& t, const RevisionOperator* op,
+                     RevisionStrategy strategy, Vocabulary* vocabulary) {
+  return KnowledgeBase::Create(t, op, strategy, vocabulary).value();
+}
+
+// Create is the only way in: the constructor, which skipped its checks,
+// is private, so a compact GFUV or Nebel KB can no longer be built and
+// then abort on its first Revise.
+static_assert(!std::is_constructible_v<KnowledgeBase, Theory,
+                                       const RevisionOperator*,
+                                       RevisionStrategy, Vocabulary*>);
+
 TEST(KnowledgeBaseTest, CreateRejectsCompactGfuv) {
+  // Exactly compact GFUV and Nebel are rejected; every other pair is
+  // created and revises.
   Vocabulary vocabulary;
-  const Theory t = Theory::ParseOrDie("a", &vocabulary);
-  auto kb = KnowledgeBase::Create(t, OperatorById(OperatorId::kGfuv),
-                                  RevisionStrategy::kCompact, &vocabulary);
-  EXPECT_FALSE(kb.ok());
-  auto kb2 = KnowledgeBase::Create(t, OperatorById(OperatorId::kNebel),
-                                   RevisionStrategy::kCompact, &vocabulary);
-  EXPECT_FALSE(kb2.ok());
-  auto kb3 = KnowledgeBase::Create(t, OperatorById(OperatorId::kGfuv),
-                                   RevisionStrategy::kDelayed, &vocabulary);
-  EXPECT_TRUE(kb3.ok());
+  const Theory t = Theory::ParseOrDie("a & b", &vocabulary);
+  const Formula p = ParseOrDie("!a", &vocabulary);
+  for (const RevisionOperator* op : AllOperators()) {
+    for (const RevisionStrategy strategy :
+         {RevisionStrategy::kDelayed, RevisionStrategy::kExplicit,
+          RevisionStrategy::kCompact}) {
+      const bool unsupported =
+          strategy == RevisionStrategy::kCompact &&
+          (op->id() == OperatorId::kGfuv || op->id() == OperatorId::kNebel);
+      StatusOr<KnowledgeBase> kb =
+          KnowledgeBase::Create(t, op, strategy, &vocabulary);
+      ASSERT_EQ(kb.ok(), !unsupported) << op->name();
+      if (unsupported) {
+        EXPECT_EQ(kb.status().code(), StatusCode::kInvalidArgument);
+        EXPECT_NE(kb.status().message().find(op->name()), std::string::npos);
+        continue;
+      }
+      kb->Revise(p);
+      EXPECT_TRUE(kb->Ask(ParseOrDie("!a", &vocabulary))) << op->name();
+    }
+  }
 }
 
 TEST(KnowledgeBaseTest, OfficeExampleEndToEnd) {
   // The George & Bill example through the public API.
   Vocabulary vocabulary;
   const Theory t = Theory::ParseOrDie("g | b", &vocabulary);
-  KnowledgeBase kb(t, OperatorById(OperatorId::kDalal),
-                   RevisionStrategy::kDelayed, &vocabulary);
+  KnowledgeBase kb = MakeKb(t, OperatorById(OperatorId::kDalal),
+                            RevisionStrategy::kDelayed, &vocabulary);
   EXPECT_FALSE(kb.Ask(ParseOrDie("b", &vocabulary)));
   kb.Revise(ParseOrDie("!g", &vocabulary));
   EXPECT_TRUE(kb.Ask(ParseOrDie("b", &vocabulary)));
@@ -58,8 +86,8 @@ TEST(KnowledgeBaseTest, AskBeforeAnyRevision) {
   for (const RevisionStrategy strategy :
        {RevisionStrategy::kDelayed, RevisionStrategy::kExplicit,
         RevisionStrategy::kCompact}) {
-    KnowledgeBase kb(t, OperatorById(OperatorId::kDalal), strategy,
-                     &vocabulary);
+    KnowledgeBase kb =
+        MakeKb(t, OperatorById(OperatorId::kDalal), strategy, &vocabulary);
     EXPECT_TRUE(kb.Ask(ParseOrDie("b", &vocabulary)));
     EXPECT_FALSE(kb.Ask(ParseOrDie("!a", &vocabulary)));
   }
@@ -90,10 +118,12 @@ TEST_P(StrategyAgreementTest, AllStrategiesAnswerQueriesIdentically) {
       t_formula = RandomFormula(vars, 3, &rng);
     }
     const Theory t({t_formula});
-    KnowledgeBase delayed(t, op, RevisionStrategy::kDelayed, &vocabulary);
-    KnowledgeBase explicit_kb(t, op, RevisionStrategy::kExplicit,
-                              &vocabulary);
-    KnowledgeBase compact(t, op, RevisionStrategy::kCompact, &vocabulary);
+    KnowledgeBase delayed =
+        MakeKb(t, op, RevisionStrategy::kDelayed, &vocabulary);
+    KnowledgeBase explicit_kb =
+        MakeKb(t, op, RevisionStrategy::kExplicit, &vocabulary);
+    KnowledgeBase compact =
+        MakeKb(t, op, RevisionStrategy::kCompact, &vocabulary);
     for (int step = 0; step < 3; ++step) {
       Formula p = RandomFormula(p_vars, 2, &rng);
       while (!BruteForceSat(p, alphabet)) {
@@ -134,8 +164,8 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(KnowledgeBaseTest, IsModelMatchesModels) {
   Vocabulary vocabulary;
   const Theory t = Theory::ParseOrDie("a & b & c", &vocabulary);
-  KnowledgeBase kb(t, OperatorById(OperatorId::kDalal),
-                   RevisionStrategy::kDelayed, &vocabulary);
+  KnowledgeBase kb = MakeKb(t, OperatorById(OperatorId::kDalal),
+                            RevisionStrategy::kDelayed, &vocabulary);
   kb.Revise(ParseOrDie("!a | !b", &vocabulary));
   const Alphabet alphabet = kb.CurrentAlphabet();
   const ModelSet models = kb.Models();
@@ -237,6 +267,127 @@ TEST(KnowledgeBaseTest, DelayedKbLoadedFromArtifactAnswersAcrossRevise) {
   EXPECT_FALSE(loaded->IsModel(Reinterpret(m, before, after), after));
 }
 
+// After a kExplicit Revise: folded() is the fold the operator's own
+// ReviseFormula gives on the previous folded theory, Models() is exactly
+// the models of folded(), and Ask agrees with SAT entailment on folded(),
+// both before Models() (on whatever memo Revise left) and after it.
+void ExpectExplicitFold(const KnowledgeBase& kb, const Formula& expected,
+                        const std::vector<Formula>& queries,
+                        const std::string& label) {
+  EXPECT_TRUE(kb.folded().StructurallyEqual(expected)) << label;
+  for (const Formula& q : queries) {
+    EXPECT_EQ(kb.Ask(q), Entails(kb.folded(), q)) << label;
+  }
+  EXPECT_EQ(kb.Models(), EnumerateModels(kb.folded(), kb.CurrentAlphabet()))
+      << label;
+  for (const Formula& q : queries) {
+    EXPECT_EQ(kb.Ask(q), Entails(kb.folded(), q)) << label;
+  }
+}
+
+TEST(KnowledgeBaseTest, ExplicitFoldMatchesReviseFormulaAcrossChains) {
+  Vocabulary vocabulary;
+  const struct {
+    const char* label;
+    const char* theory;
+    std::vector<const char*> updates;
+  } chains[] = {
+      // d and e are new letters; the last update shrinks nothing.
+      {"satisfiable", "a & b; c -> a",
+       {"!a | !b", "c | !b", "d & !c", "e ^ a"}},
+      // T unsatisfiable (no models); then an unsatisfiable update folds
+      // to False, and the next one starts from letters the KB lost.
+      {"unsatisfiable", "a; !a; b", {"a | c", "c & !c", "d | a", "!d"}},
+  };
+  const std::vector<Formula> queries = {
+      ParseOrDie("a | b", &vocabulary),
+      ParseOrDie("!a -> b", &vocabulary),
+      ParseOrDie("a | out0", &vocabulary),
+      ParseOrDie("(d ^ e) | out1", &vocabulary),
+      ParseOrDie("out0", &vocabulary),
+      ParseOrDie("c & out2", &vocabulary),
+      ParseOrDie("(out1 <-> d) | (out1 <-> !d)", &vocabulary)};
+  for (const ModelBasedOperator* op : AllModelBasedOperators()) {
+    for (const auto& chain : chains) {
+      const Theory t = Theory::ParseOrDie(chain.theory, &vocabulary);
+      KnowledgeBase kb =
+          MakeKb(t, op, RevisionStrategy::kExplicit, &vocabulary);
+      Theory previous = t;
+      for (size_t i = 0; i < chain.updates.size(); ++i) {
+        const Formula p = ParseOrDie(chain.updates[i], &vocabulary);
+        const Formula expected = op->ReviseFormula(previous, p);
+        kb.Revise(p);
+        ExpectExplicitFold(kb, expected, queries,
+                           std::string(op->name()) + " " + chain.label +
+                               " step " + std::to_string(i));
+        previous = Theory({expected});
+      }
+    }
+  }
+}
+
+TEST(KnowledgeBaseTest, ExplicitKbLoadedFromArtifactRevisesFromItsMemo) {
+  Vocabulary vocabulary;
+  const std::vector<Formula> queries = {
+      ParseOrDie("c & (a ^ b)", &vocabulary),
+      ParseOrDie("a | z", &vocabulary), ParseOrDie("!c | w", &vocabulary)};
+  for (const ModelBasedOperator* op : AllModelBasedOperators()) {
+    KnowledgeBase kb =
+        MakeKb(Theory::ParseOrDie("a & b & c", &vocabulary), op,
+               RevisionStrategy::kExplicit, &vocabulary);
+    kb.Revise(ParseOrDie("!a | !b", &vocabulary));
+    const std::string path =
+        (std::filesystem::temp_directory_path() /
+         ("core_explicit_" + std::to_string(::getpid()) + ".rkb"))
+            .string();
+    ASSERT_TRUE(SaveKnowledgeBaseArtifact(kb, path).ok());
+    // Loading into the same vocabulary keeps the formulas comparable.
+    StatusOr<KnowledgeBase> loaded =
+        LoadKnowledgeBaseArtifact(path, &vocabulary);
+    std::filesystem::remove(path);
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    Theory previous({loaded->folded()});
+    for (const char* text : {"!c & z", "a | !z", "w -> b"}) {
+      const Formula p = ParseOrDie(text, &vocabulary);
+      const Formula expected = op->ReviseFormula(previous, p);
+      loaded->Revise(p);
+      ExpectExplicitFold(*loaded, expected, queries,
+                         std::string(op->name()) + " after " + text);
+      previous = Theory({expected});
+    }
+  }
+}
+
+TEST(KnowledgeBaseTest, ExplicitReviseKeepsItsModelSet) {
+  // Under a model-based operator the explicit Revise already holds the
+  // revised model set: queries over the KB's letters and later revisions
+  // with small updates run no enumeration and no SAT solve.
+  obs::Registry& registry = obs::Registry::Global();
+  const auto work = [&] {
+    return registry.GetCounter("sat.solves")->Value() +
+           registry.GetCounter("solve.model_cache.hits")->Value() +
+           registry.GetCounter("solve.model_cache.misses")->Value();
+  };
+  Vocabulary vocabulary;
+  const Formula query = ParseOrDie("a | c", &vocabulary);
+  for (const ModelBasedOperator* op : AllModelBasedOperators()) {
+    KnowledgeBase kb =
+        MakeKb(Theory::ParseOrDie("a & b; c -> a", &vocabulary), op,
+               RevisionStrategy::kExplicit, &vocabulary);
+    kb.Revise(ParseOrDie("!a | !b", &vocabulary));
+    const uint64_t before = work();
+    kb.Revise(ParseOrDie("c | !b", &vocabulary));
+    kb.Revise(ParseOrDie("d & !c", &vocabulary));
+    const ModelSet models = kb.Models();
+    const bool entailed = kb.Ask(query);
+    const Alphabet alphabet = kb.CurrentAlphabet();
+    const bool is_model = kb.IsModel(models[0], alphabet);
+    EXPECT_EQ(before, work()) << op->name();
+    EXPECT_EQ(entailed, Entails(kb.folded(), query)) << op->name();
+    EXPECT_TRUE(is_model) << op->name();
+  }
+}
+
 TEST(KnowledgeBaseTest, StoredSizeReflectsStrategy) {
   // On Nebel's explosion family, explicit storage under GFUV blows up
   // while delayed storage stays linear.
@@ -253,10 +404,11 @@ TEST(KnowledgeBaseTest, StoredSizeReflectsStrategy) {
     xors.push_back(Formula::Xor(x, y));
   }
   const Formula p = ConjoinAll(xors);
-  KnowledgeBase delayed(t, OperatorById(OperatorId::kGfuv),
-                        RevisionStrategy::kDelayed, &vocabulary);
-  KnowledgeBase explicit_kb(t, OperatorById(OperatorId::kGfuv),
-                            RevisionStrategy::kExplicit, &vocabulary);
+  KnowledgeBase delayed = MakeKb(t, OperatorById(OperatorId::kGfuv),
+                                 RevisionStrategy::kDelayed, &vocabulary);
+  KnowledgeBase explicit_kb = MakeKb(t, OperatorById(OperatorId::kGfuv),
+                                     RevisionStrategy::kExplicit,
+                                     &vocabulary);
   delayed.Revise(p);
   explicit_kb.Revise(p);
   EXPECT_EQ(t.VarOccurrences() + p.VarOccurrences(), delayed.StoredSize());
@@ -275,8 +427,8 @@ TEST(KnowledgeBaseTest, CompactStaysPolynomialWhereExplicitExplodes) {
         Formula::Variable(vocabulary.Intern("c" + std::to_string(i))));
   }
   const Theory t({ConjoinAll(letters)});
-  KnowledgeBase compact(t, OperatorById(OperatorId::kDalal),
-                        RevisionStrategy::kCompact, &vocabulary);
+  KnowledgeBase compact = MakeKb(t, OperatorById(OperatorId::kDalal),
+                                 RevisionStrategy::kCompact, &vocabulary);
   uint64_t previous = compact.StoredSize();
   uint64_t max_increment = 0;
   for (int step = 0; step < 5; ++step) {

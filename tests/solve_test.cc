@@ -371,5 +371,26 @@ TEST(ModelSetTest, ProjectionDeduplicates) {
   EXPECT_EQ(2u, models.ProjectTo(small).size());
 }
 
+TEST(ModelSetTest, CopiesShareRowsAndMovesKeepThem) {
+  const Alphabet alphabet({0, 1});
+  const ModelSet a(alphabet, {Interpretation::FromIndex(2, 0b11),
+                              Interpretation::FromIndex(2, 0b01),
+                              Interpretation::FromIndex(2, 0b01)});
+  const ModelSet copy = a;
+  EXPECT_EQ(&a.models(), &copy.models());
+  EXPECT_EQ(a, copy);
+  ModelSet source = a;
+  const ModelSet moved = std::move(source);
+  EXPECT_EQ(a, moved);
+  EXPECT_EQ(a, source);  // NOLINT(bugprone-use-after-move): a move copies
+  ModelSet assigned;
+  EXPECT_TRUE(assigned.empty());
+  EXPECT_TRUE(assigned.alphabet().vars().empty());
+  assigned = copy;
+  EXPECT_EQ(2u, assigned.size());
+  EXPECT_EQ(Interpretation::FromIndex(2, 0b01), assigned[0]);
+  EXPECT_EQ(ModelSet(), ModelSet());
+}
+
 }  // namespace
 }  // namespace revise
