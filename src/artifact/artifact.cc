@@ -1,6 +1,8 @@
 #include "artifact/artifact.h"
 
 #include <algorithm>
+#include <cerrno>
+#include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <utility>
@@ -71,8 +73,6 @@ std::string_view SectionIdName(SectionId id) {
       return "model_meta";
     case SectionId::kModelRows:
       return "model_rows";
-    case SectionId::kBdd:
-      return "bdd";
     case SectionId::kKbMeta:
       return "kb_meta";
   }
@@ -140,15 +140,6 @@ bool ByteReader::String(std::string* out) {
   return true;
 }
 
-bool ByteReader::Skip(size_t size) {
-  if (!ok_ || size_ - pos_ < size) {
-    ok_ = false;
-    return false;
-  }
-  pos_ += size;
-  return true;
-}
-
 void ArtifactWriter::AddSection(SectionId id, std::vector<uint8_t> payload) {
   sections_.push_back({id, std::move(payload)});
 }
@@ -192,19 +183,28 @@ std::vector<uint8_t> ArtifactWriter::Assemble() const {
 
 Status ArtifactWriter::WriteToFile(const std::string& path) const {
   std::vector<uint8_t> image = Assemble();
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  const std::string tmp = path + ".tmp";
+  std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
   if (!out) {
-    return InternalError("cannot open " + path + " for writing");
+    return InternalError("cannot open " + tmp + " for writing");
   }
   out.write(reinterpret_cast<const char*>(image.data()),
             static_cast<std::streamsize>(image.size()));
   out.flush();
-  if (!out.good()) {
-    return InternalError("short write to " + path);
-  }
+  const bool wrote = out.good();
   out.close();
-  if (out.fail()) {
-    return InternalError("close of " + path + " failed");
+  Status written = Status::Ok();
+  if (!wrote) {
+    written = InternalError("short write to " + tmp);
+  } else if (out.fail()) {
+    written = InternalError("close of " + tmp + " failed");
+  } else if (std::rename(tmp.c_str(), path.c_str()) != 0) {
+    written = InternalError("cannot rename " + tmp + " to " + path + ": " +
+                            std::strerror(errno));
+  }
+  if (!written.ok()) {
+    std::remove(tmp.c_str());
+    return written;
   }
   REVISE_OBS_COUNTER("artifact.writes").Increment();
   REVISE_OBS_HISTOGRAM("artifact.write_bytes").Record(image.size());

@@ -45,7 +45,7 @@
 
 namespace revise::artifact {
 
-inline constexpr uint32_t kFormatVersion = 1;
+inline constexpr uint32_t kFormatVersion = 2;
 inline constexpr size_t kMagicSize = 8;
 inline constexpr size_t kHeaderSize = 64;
 inline constexpr size_t kSectionEntrySize = 32;
@@ -62,7 +62,7 @@ enum class SectionId : uint32_t {
   kFormulas = 2,    // structurally deduplicated formula node table
   kModelMeta = 3,   // alphabet + packed-row geometry
   kModelRows = 4,   // raw PackedModelMatrix rows, read in place
-  kBdd = 5,         // variable order + node table + root
+  // 5 held the version-1 BDD section; it stays unused.
   kKbMeta = 6,      // operator, strategy, formula roots
 };
 
@@ -103,11 +103,6 @@ class ByteReader {
   size_t remaining() const { return size_ - pos_; }
   bool AtEnd() const { return ok_ && pos_ == size_; }
 
-  // Consumes nothing: pointer to the current position, for in-place views.
-  const uint8_t* Here() const { return data_ + pos_; }
-  // Advances past `size` bytes (the in-place view just handed out).
-  bool Skip(size_t size);
-
  private:
   const uint8_t* data_;
   size_t size_;
@@ -124,8 +119,10 @@ class ArtifactWriter {
   // The complete file image, checksums filled in.
   std::vector<uint8_t> Assemble() const;
 
-  // Assemble + durable write: the stream is explicitly flushed and
-  // checked, so a short write (e.g. a full disk) is an error, not an Ok.
+  // Assemble + atomic write: the image goes to `path` + ".tmp", which is
+  // flushed, checked and then renamed over `path`.  A short write (e.g. a
+  // full disk) is an error, not an Ok, and any failure leaves the file
+  // previously at `path` untouched.
   Status WriteToFile(const std::string& path) const;
 
  private:

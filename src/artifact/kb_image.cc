@@ -3,13 +3,10 @@
 #include <algorithm>
 #include <bit>
 #include <chrono>
-#include <map>
-#include <optional>
 #include <unordered_map>
 #include <utility>
 
 #include "artifact/checksum.h"
-#include "bdd/bdd.h"
 #include "kernel/packed_matrix.h"
 #include "kernel/simd.h"
 #include "obs/metrics.h"
@@ -19,9 +16,9 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-uint64_t ElapsedMs(Clock::time_point start) {
+uint64_t ElapsedUs(Clock::time_point start) {
   return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::milliseconds>(Clock::now() -
+      std::chrono::duration_cast<std::chrono::microseconds>(Clock::now() -
                                                             start)
           .count());
 }
@@ -33,6 +30,17 @@ uint64_t ElapsedMs(Clock::time_point start) {
 // DAG nodes) and by structure (catches equal subtrees allocated apart),
 // so the table is a true structural DAG regardless of how the formulas
 // were built.
+
+// Hash of a structural key: the node kind, then its payload or children.
+struct KeyHash {
+  size_t operator()(const std::vector<uint64_t>& key) const {
+    uint64_t h = key.size();
+    for (uint64_t word : key) {
+      h ^= word + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
+    }
+    return static_cast<size_t>(h);
+  }
+};
 
 class FormulaEncoder {
  public:
@@ -97,7 +105,7 @@ class FormulaEncoder {
   ByteWriter body_;
   uint32_t count_ = 0;
   std::unordered_map<const void*, uint32_t> by_id_;
-  std::map<std::vector<uint64_t>, uint32_t> by_structure_;
+  std::unordered_map<std::vector<uint64_t>, uint32_t, KeyHash> by_structure_;
 };
 
 // Decodes the node table, rebuilding each node through the public
@@ -188,44 +196,6 @@ Status DecodeFormulas(ByteReader reader, const std::vector<Var>& remap,
   return Status::Ok();
 }
 
-// The canonical ROBDD of the model set in sorted-alphabet order, built
-// one minterm cube at a time (bottom-up, so each ITE is a cheap top
-// insertion) and exported as a renumbered children-first node table.
-BddImage BuildBddImage(const ModelSet& models) {
-  const Alphabet& alphabet = models.alphabet();
-  BddManager manager(alphabet.vars());
-  BddManager::NodeRef root = BddManager::kFalse;
-  for (const Interpretation& m : models) {
-    BddManager::NodeRef cube = BddManager::kTrue;
-    for (size_t i = alphabet.size(); i-- > 0;) {
-      BddManager::NodeRef v = manager.VarNode(alphabet.var(i));
-      cube = m.Get(i) ? manager.Ite(v, cube, BddManager::kFalse)
-                      : manager.Ite(v, BddManager::kFalse, cube);
-    }
-    root = manager.Or(root, cube);
-  }
-
-  BddImage image;
-  image.order = manager.order();
-  std::unordered_map<BddManager::NodeRef, uint32_t> renumber = {
-      {BddManager::kFalse, 0}, {BddManager::kTrue, 1}};
-  // Children-first DFS; depth is bounded by the variable count.
-  auto Export = [&](auto&& self, BddManager::NodeRef f) -> uint32_t {
-    auto found = renumber.find(f);
-    if (found != renumber.end()) {
-      return found->second;
-    }
-    uint32_t low = self(self, manager.NodeLow(f));
-    uint32_t high = self(self, manager.NodeHigh(f));
-    image.nodes.push_back({manager.NodeLevel(f), low, high});
-    uint32_t ref = static_cast<uint32_t>(image.nodes.size()) + 1;
-    renumber.emplace(f, ref);
-    return ref;
-  };
-  image.root = Export(Export, root);
-  return image;
-}
-
 }  // namespace
 
 std::string_view StrategyName(uint32_t strategy) {
@@ -239,20 +209,6 @@ std::string_view StrategyName(uint32_t strategy) {
     default:
       return "unknown";
   }
-}
-
-bool BddImage::Evaluate(const Interpretation& m,
-                        const Alphabet& alphabet) const {
-  uint32_t ref = root;
-  while (ref > 1) {
-    const Node& node = nodes[ref - 2];
-    bool bit = false;
-    if (std::optional<size_t> pos = alphabet.IndexOf(order[node.level])) {
-      bit = m.Get(*pos);
-    }
-    ref = bit ? node.high : node.low;
-  }
-  return ref == 1;
 }
 
 Status WriteKbArtifact(const KbImage& image, const Vocabulary& vocabulary,
@@ -314,24 +270,6 @@ Status WriteKbArtifact(const KbImage& image, const Vocabulary& vocabulary,
     writer.AddSection(SectionId::kModelRows, std::move(payload).Take());
   }
 
-  // BDD: order, root, children-first node table.
-  BddImage bdd = BuildBddImage(image.models);
-  {
-    ByteWriter payload;
-    payload.U32(static_cast<uint32_t>(bdd.order.size()));
-    for (Var var : bdd.order) {
-      payload.U32(var);
-    }
-    payload.U32(static_cast<uint32_t>(bdd.nodes.size()));
-    payload.U32(bdd.root);
-    for (const BddImage::Node& node : bdd.nodes) {
-      payload.U32(node.level);
-      payload.U32(node.low);
-      payload.U32(node.high);
-    }
-    writer.AddSection(SectionId::kBdd, std::move(payload).Take());
-  }
-
   // KBMETA: operator, strategy, and the formula roots.
   {
     ByteWriter payload;
@@ -360,7 +298,7 @@ Status WriteKbArtifact(const KbImage& image, const Vocabulary& vocabulary,
     return written;
   }
   REVISE_OBS_COUNTER("artifact.compiles").Increment();
-  REVISE_OBS_HISTOGRAM("artifact.compile_ms").Record(ElapsedMs(start));
+  REVISE_OBS_HISTOGRAM("artifact.compile_us").Record(ElapsedUs(start));
   return Status::Ok();
 }
 
@@ -391,10 +329,9 @@ Status KbArtifact::DecodeMeta() {
   const ArtifactFile::Section* formulas = file_.Find(SectionId::kFormulas);
   const ArtifactFile::Section* model_meta = file_.Find(SectionId::kModelMeta);
   const ArtifactFile::Section* model_rows = file_.Find(SectionId::kModelRows);
-  const ArtifactFile::Section* bdd = file_.Find(SectionId::kBdd);
   const ArtifactFile::Section* kb_meta = file_.Find(SectionId::kKbMeta);
   if (vocab == nullptr || formulas == nullptr || model_meta == nullptr ||
-      model_rows == nullptr || bdd == nullptr || kb_meta == nullptr) {
+      model_rows == nullptr || kb_meta == nullptr) {
     return InvalidArgumentError(
         "artifact is missing a required section (not a compiled KB?)");
   }
@@ -495,60 +432,6 @@ Status KbArtifact::DecodeMeta() {
     }
   }
 
-  // BDD.
-  {
-    ByteReader reader(file_.SectionData(*bdd), bdd->size);
-    uint32_t order_len = reader.U32();
-    if (!reader.ok() || order_len > reader.remaining() / 4) {
-      return InvalidArgumentError("artifact bdd order corrupt");
-    }
-    bdd_order_.reserve(order_len);
-    bdd_level_to_bit_.reserve(order_len);
-    for (uint32_t i = 0; i < order_len; ++i) {
-      uint32_t var = reader.U32();
-      auto at = std::lower_bound(alphabet_.begin(), alphabet_.end(), var);
-      if (at == alphabet_.end() || *at != var) {
-        return InvalidArgumentError(
-            "artifact bdd order variable outside the model alphabet");
-      }
-      bdd_order_.push_back(var);
-      bdd_level_to_bit_.push_back(
-          static_cast<size_t>(at - alphabet_.begin()));
-    }
-    bdd_node_count_ = reader.U32();
-    bdd_root_ = reader.U32();
-    if (!reader.ok() || bdd_node_count_ != reader.remaining() / 12 ||
-        reader.remaining() % 12 != 0) {
-      return InvalidArgumentError("artifact bdd node table size corrupt");
-    }
-    if (bdd_root_ >= bdd_node_count_ + 2) {
-      return InvalidArgumentError("artifact bdd root out of range");
-    }
-    bdd_node_bytes_ = reader.Here();
-    // Structural sanity: children precede parents, levels strictly
-    // increase toward the terminals, no redundant nodes.
-    for (size_t i = 0; i < bdd_node_count_; ++i) {
-      uint32_t level = reader.U32();
-      uint32_t low = reader.U32();
-      uint32_t high = reader.U32();
-      if (level >= bdd_order_.size() || low == high ||
-          low >= i + 2 || high >= i + 2) {
-        return InvalidArgumentError("artifact bdd node " +
-                                    std::to_string(i) + " malformed");
-      }
-      for (uint32_t child : {low, high}) {
-        if (child >= 2) {
-          ByteReader peek(bdd_node_bytes_ + (child - 2) * 12, 4);
-          if (peek.U32() <= level) {
-            return InvalidArgumentError(
-                "artifact bdd levels not strictly increasing");
-          }
-        }
-      }
-    }
-  }
-  info_.bdd_nodes = bdd_node_count_;
-
   // KBMETA.
   {
     ByteReader reader(file_.SectionData(*kb_meta), kb_meta->size);
@@ -638,34 +521,6 @@ Interpretation KbArtifact::ModelRow(size_t row) const {
   return Interpretation::FromWords(bits, words.data());
 }
 
-bool KbArtifact::AskPackedRow(size_t row) const {
-  uint32_t ref = bdd_root_;
-  while (ref > 1) {
-    const uint8_t* node = bdd_node_bytes_ + (ref - 2) * 12;
-    ByteReader reader(node, 12);
-    uint32_t level = reader.U32();
-    uint32_t low = reader.U32();
-    uint32_t high = reader.U32();
-    ref = RowBit(row, bdd_level_to_bit_[level]) ? high : low;
-  }
-  return ref == 1;
-}
-
-Status KbArtifact::VerifyPackedSections() const {
-  // DecodeMeta already enforced canonical row order, zero padding and BDD
-  // shape; here the two representations are played against each other:
-  // every stored model must satisfy the stored BDD (Definition 7.1's ASK
-  // run directly on the stored bytes).
-  for (size_t r = 0; r < rows_; ++r) {
-    if (!AskPackedRow(r)) {
-      return InvalidArgumentError(
-          "artifact model row " + std::to_string(r) +
-          " is rejected by the stored BDD");
-    }
-  }
-  return Status::Ok();
-}
-
 StatusOr<KbImage> KbArtifact::Materialize(Vocabulary* vocabulary) const {
   Clock::time_point start = Clock::now();
   std::vector<Var> remap;
@@ -733,21 +588,7 @@ StatusOr<KbImage> KbArtifact::Materialize(Vocabulary* vocabulary) const {
   }
   image.models = ModelSet(alphabet, std::move(models));
 
-  image.bdd.order.reserve(bdd_order_.size());
-  for (Var var : bdd_order_) {
-    image.bdd.order.push_back(remap[var]);
-  }
-  image.bdd.nodes.reserve(bdd_node_count_);
-  for (size_t i = 0; i < bdd_node_count_; ++i) {
-    ByteReader reader(bdd_node_bytes_ + i * 12, 12);
-    uint32_t level = reader.U32();
-    uint32_t low = reader.U32();
-    uint32_t high = reader.U32();
-    image.bdd.nodes.push_back({level, low, high});
-  }
-  image.bdd.root = bdd_root_;
-
-  REVISE_OBS_HISTOGRAM("artifact.materialize_ms").Record(ElapsedMs(start));
+  REVISE_OBS_HISTOGRAM("artifact.materialize_us").Record(ElapsedUs(start));
   return image;
 }
 

@@ -1,15 +1,10 @@
 // Compiled knowledge-base images: the meaning of the .rkb sections.
 //
 // A KbImage is everything the core KnowledgeBase needs to resume exactly
-// where a previous process stopped, plus the two precomputed query
-// structures that make cold starts cheap:
-//
-//  * the canonical ModelSet of the revised knowledge base, packed in the
-//    PackedModelMatrix row layout so the loader can read rows in place
-//    from the file buffer, and
-//  * the canonical ROBDD of that model set (Definition 7.1's data
-//    structure D with its polynomial ASK), evaluable directly against
-//    the on-disk node table without materializing anything.
+// where a previous process stopped, plus the canonical ModelSet of the
+// revised knowledge base that makes cold starts cheap: it is packed in the
+// PackedModelMatrix row layout so the loader can read rows in place from
+// the file buffer, and it seeds the loaded KnowledgeBase's Models() memo.
 //
 // The formula sections carry the syntactic state — the initial theory,
 // the update sequence, and the folded explicit/compact representation
@@ -19,7 +14,7 @@
 // into the caller's Vocabulary and remaps ids, so an artifact can be
 // loaded into a process whose vocabulary already holds other letters.
 //
-// This layer is vocabulary/logic/model/bdd-level only; core/kb_artifact.h
+// This layer is vocabulary/logic/model-level only; core/kb_artifact.h
 // bridges KbImage to the KnowledgeBase class.
 
 #ifndef REVISE_ARTIFACT_KB_IMAGE_H_
@@ -49,24 +44,6 @@ inline constexpr uint32_t kStrategyCompact = 2;
 // "delayed" / "explicit" / "compact" ("unknown" otherwise).
 std::string_view StrategyName(uint32_t strategy);
 
-// A decoded copy of the BDD section: the canonical ROBDD of the model
-// set, in the sorted-alphabet variable order.
-struct BddImage {
-  struct Node {
-    uint32_t level;
-    uint32_t low;   // NodeRef: 0 false, 1 true, k >= 2 -> nodes[k - 2]
-    uint32_t high;
-  };
-  std::vector<Var> order;  // level -> variable
-  std::vector<Node> nodes;
-  uint32_t root = 0;
-
-  // Definition 7.1's ASK: one root-to-terminal walk.  Letters of `order`
-  // absent from `alphabet` read as false.
-  [[nodiscard]] bool Evaluate(const Interpretation& m,
-                              const Alphabet& alphabet) const;
-};
-
 // A fully materialized knowledge-base snapshot.
 struct KbImage {
   OperatorId operator_id = OperatorId::kDalal;
@@ -76,7 +53,6 @@ struct KbImage {
   Formula folded;
   Theory folded_theory;
   ModelSet models;
-  BddImage bdd;
 };
 
 // Per-section row of InspectArtifact / `revise_compile inspect`.
@@ -99,19 +75,19 @@ struct ArtifactInfo {
   uint64_t update_count = 0;
   uint64_t alphabet_size = 0;
   uint64_t model_count = 0;
-  uint64_t bdd_nodes = 0;
 };
 
-// Compiles the image into a .rkb file: packs the models, builds the
-// canonical BDD, deduplicates the formula DAG, checksums everything.
+// Compiles the image into a .rkb file: packs the models, deduplicates the
+// formula DAG, checksums everything.
 // `vocabulary` must be the one the image's formulas are expressed in.
 Status WriteKbArtifact(const KbImage& image, const Vocabulary& vocabulary,
                        const std::string& path);
 
-// An opened, checksum-validated artifact with its metadata decoded.  The
-// packed model rows and the BDD node table stay in the file buffer and
-// are consumed in place; Materialize() is the only call that copies them
-// out.
+// An opened, checksum-validated artifact with its metadata decoded.  Open
+// also enforces the packed-section invariants: rows strictly increasing
+// (canonical), padding bits zero, and the KBMETA model count equal to the
+// row count.  The packed model rows stay in the file buffer and are read
+// in place; Materialize() is the only call that copies them out.
 class KbArtifact {
  public:
   static StatusOr<KbArtifact> Open(const std::string& path);
@@ -130,15 +106,6 @@ class KbArtifact {
   // aligned (always, given the 64-byte section alignment), a per-word
   // decode otherwise.
   [[nodiscard]] Interpretation ModelRow(size_t row) const;
-
-  // ASK on the stored BDD evaluated against stored row `row`, walking
-  // the on-disk node table directly.
-  [[nodiscard]] bool AskPackedRow(size_t row) const;
-
-  // Internal self-consistency beyond the checksums: every packed row
-  // satisfies the stored BDD, the stored model count matches, rows are
-  // strictly increasing (canonical), padding bits are zero.
-  Status VerifyPackedSections() const;
 
   // Decodes everything into formulas/models over `*vocabulary` (interning
   // the stored names; ids are remapped, so the vocabulary need not be
@@ -159,12 +126,6 @@ class KbArtifact {
   size_t rows_ = 0;
   size_t stride_words_ = 0;
   const uint8_t* row_bytes_ = nullptr;
-
-  std::vector<Var> bdd_order_;             // stored var ids, level order
-  std::vector<size_t> bdd_level_to_bit_;   // level -> alphabet position
-  const uint8_t* bdd_node_bytes_ = nullptr;
-  size_t bdd_node_count_ = 0;
-  uint32_t bdd_root_ = 0;
 
   // KBMETA fields needed by Materialize.
   uint32_t operator_id_ = 0;

@@ -80,9 +80,9 @@ StatusOr<KnowledgeBase> LoadKnowledgeBaseArtifact(const std::string& path,
       vocabulary);
   if (kb.ok()) {
     REVISE_OBS_COUNTER("artifact.loads").Increment();
-    REVISE_OBS_HISTOGRAM("artifact.load_ms")
+    REVISE_OBS_HISTOGRAM("artifact.load_us")
         .Record(static_cast<uint64_t>(
-            std::chrono::duration_cast<std::chrono::milliseconds>(
+            std::chrono::duration_cast<std::chrono::microseconds>(
                 std::chrono::steady_clock::now() - start)
                 .count()));
   }

@@ -2,12 +2,12 @@
 //
 // Saving compiles the knowledge base's current state — theory, update
 // sequence, folded representation (under kCompact that is the paper's
-// precomputed compact revision, fresh letters included), the canonical
-// model set and its ROBDD — into the checksummed container of
-// src/artifact/.  Loading validates every checksum, reconstructs the
-// formulas over the caller's vocabulary, seeds the Models() memo from
-// the packed rows, and primes the global model cache, so the first query
-// after a cold start costs a file read instead of an AllSAT sweep.
+// precomputed compact revision, fresh letters included) and the canonical
+// model set — into the checksummed container of src/artifact/.  Loading
+// validates every checksum, reconstructs the formulas over the caller's
+// vocabulary, seeds the Models() memo from the packed rows, and primes
+// the global model cache, so the first query after a cold start costs a
+// file read instead of an AllSAT sweep.
 
 #ifndef REVISE_CORE_KB_ARTIFACT_H_
 #define REVISE_CORE_KB_ARTIFACT_H_
@@ -20,8 +20,9 @@
 
 namespace revise {
 
-// Compiles `kb` into a .rkb file at `path` (overwriting).  Computes the
-// model set if the KB has not materialized it yet.
+// Compiles `kb` into a .rkb file at `path`, replacing any file there
+// atomically: on failure the previous file is left as it was.  Computes
+// the model set if the KB has not materialized it yet.
 Status SaveKnowledgeBaseArtifact(const KnowledgeBase& kb,
                                  const std::string& path);
 

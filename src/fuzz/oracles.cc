@@ -638,6 +638,9 @@ std::optional<std::string> ArtifactRoundtripOracle(const Scenario& s) {
       {OperatorId::kDalal, RevisionStrategy::kDelayed, "Dalal/delayed"},
       {OperatorId::kWinslett, RevisionStrategy::kExplicit,
        "Winslett/explicit"},
+      // A compact fold carries fresh letters, stored by name and
+      // re-interned on load.
+      {OperatorId::kDalal, RevisionStrategy::kCompact, "Dalal/compact"},
   };
   static std::atomic<uint64_t> counter{0};
   for (const auto& config : configs) {
@@ -695,6 +698,9 @@ std::optional<std::string> ArtifactRoundtripOracle(const Scenario& s) {
       }
       if (loaded->Ask(s.q) != direct_ask) {
         return name + ": loaded Ask(Q) differs from direct evaluation";
+      }
+      if (!loaded->folded().StructurallyEqual(kb->folded())) {
+        return name + ": loaded folded formula differs from the saved one";
       }
     }
 

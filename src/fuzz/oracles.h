@@ -41,8 +41,9 @@
 //   figure1-containment   the paper's Figure 1 edges, e.g. Dalal ⊆ Satoh
 //                         ⊆ Winslett, as model-set inclusions.
 //   parser-roundtrip      print → parse → structural equality.
-//   artifact-roundtrip    compile → save → load → query vs direct, plus
-//                         rejection of corrupted bytes.
+//   artifact-roundtrip    compile → save → load → query vs direct under
+//                         Dalal/delayed, Winslett/explicit and
+//                         Dalal/compact, plus rejection of corrupted bytes.
 //
 // Oracles with exponential references skip scenarios whose revision
 // alphabet exceeds kMaxOracleAlphabet instead of failing.

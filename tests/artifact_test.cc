@@ -1,6 +1,6 @@
 // Tests for the .rkb artifact subsystem (src/artifact/): the checksum
 // primitive, the container round-trip, corruption rejection (bad magic,
-// bad version, truncation, arbitrary bit flips),
+// bad version, truncation, arbitrary bit flips), the atomic save,
 // knowledge-base round-trips across operators / strategies / fuzz
 // scenario shapes and thread counts, and the committed golden canary.
 
@@ -11,6 +11,7 @@
 #include <fstream>
 #include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include <unistd.h>
@@ -120,7 +121,7 @@ TEST(ArtifactFileTest, AssembleAndReopen) {
   const uint8_t* data = file->SectionData(*vocab);
   EXPECT_EQ(data[0], 1);
   EXPECT_EQ(data[2], 3);
-  EXPECT_EQ(file->Find(SectionId::kBdd), nullptr);
+  EXPECT_EQ(file->Find(SectionId::kFormulas), nullptr);
 }
 
 TEST(ArtifactFileTest, RejectsBadMagic) {
@@ -132,21 +133,40 @@ TEST(ArtifactFileTest, RejectsBadMagic) {
   EXPECT_NE(file.status().ToString().find("magic"), std::string::npos);
 }
 
-TEST(ArtifactFileTest, RejectsGenuinelyNewerVersion) {
-  // A well-formed file of a future version (checksum recomputed) must be
-  // reported as a version problem, not a checksum one: the header layout
-  // is frozen exactly so this diagnosis works across versions.
+// TwoSectionImage() re-stamped as format `version`, checksum recomputed,
+// so the only thing wrong with it is the version.
+std::vector<uint8_t> TwoSectionImageOfVersion(uint32_t version) {
   std::vector<uint8_t> bytes = TwoSectionImage();
-  bytes[kVersionOffset] = static_cast<uint8_t>(kFormatVersion + 1);
+  for (size_t i = 0; i < 4; ++i) {
+    bytes[kVersionOffset + i] = static_cast<uint8_t>(version >> (8 * i));
+  }
   for (size_t i = 0; i < 8; ++i) bytes[kFileCrcOffset + i] = 0;
   const uint64_t crc = Crc64(bytes.data(), bytes.size());
   for (size_t i = 0; i < 8; ++i) {
     bytes[kFileCrcOffset + i] = static_cast<uint8_t>(crc >> (8 * i));
   }
+  return bytes;
+}
+
+TEST(ArtifactFileTest, RejectsGenuinelyNewerVersion) {
+  // A well-formed file of a future version (checksum recomputed) must be
+  // reported as a version problem, not a checksum one: the header layout
+  // is frozen exactly so this diagnosis works across versions.
   const StatusOr<ArtifactFile> file =
-      ArtifactFile::FromBytes(std::move(bytes));
+      ArtifactFile::FromBytes(TwoSectionImageOfVersion(kFormatVersion + 1));
   ASSERT_FALSE(file.ok());
   EXPECT_NE(file.status().ToString().find("version"), std::string::npos);
+}
+
+TEST(ArtifactFileTest, RejectsVersionOne) {
+  // Version 1 files carried a BDD section that this build no longer
+  // reads or writes; they get the version error, not a half-decoded load.
+  const StatusOr<ArtifactFile> file =
+      ArtifactFile::FromBytes(TwoSectionImageOfVersion(1));
+  ASSERT_FALSE(file.ok());
+  constexpr std::string_view kWant = "unsupported artifact format version 1";
+  const std::string message = file.status().ToString();
+  EXPECT_NE(message.find(kWant), std::string::npos) << message;
 }
 
 TEST(ArtifactFileTest, FlippedVersionByteIsAChecksumError) {
@@ -248,8 +268,8 @@ TEST(KbArtifactTest, RoundTripsAcrossOperatorsAndStrategies) {
 }
 
 TEST(KbArtifactTest, RoundTripsDegenerateModelSets) {
-  // An unsatisfiable revision leaves zero models; zero rows and an empty
-  // BDD must survive the trip.
+  // An unsatisfiable revision leaves zero models; zero rows must survive
+  // the trip.
   Vocabulary vocabulary;
   StatusOr<KnowledgeBase> kb = KnowledgeBase::Create(
       Theory::ParseOrDie("p | q", &vocabulary),
@@ -318,7 +338,46 @@ TEST(KbArtifactTest, StructuralDedupSharesRepeatedSubtrees) {
   // Shared: a, b, c, d, (a&b), !d, plus the four roots' distinct upper
   // nodes — far fewer than the sum of the tree sizes.
   EXPECT_LE(artifact->info().formula_nodes, 10u);
-  EXPECT_TRUE(artifact->VerifyPackedSections().ok());
+  StatusOr<KbImage> image = artifact->Materialize(&vocabulary);
+  ASSERT_TRUE(image.ok()) << image.status().ToString();
+  EXPECT_TRUE(image->models == kb->Models());
+}
+
+TEST(KbArtifactTest, FailedSaveKeepsThePreviousFile) {
+  // A save writes beside the target and renames over it, so a save that
+  // fails must leave the previous artifact byte for byte as it was.
+  Vocabulary vocabulary;
+  StatusOr<KnowledgeBase> kb = KnowledgeBase::Create(
+      Theory::ParseOrDie("a | b; b -> c", &vocabulary),
+      OperatorById(OperatorId::kDalal), RevisionStrategy::kDelayed,
+      &vocabulary);
+  ASSERT_TRUE(kb.ok());
+  const std::filesystem::path path = TempPath("kb_atomic");
+  const std::filesystem::path tmp = path.string() + ".tmp";
+  ASSERT_TRUE(SaveKnowledgeBaseArtifact(*kb, path.string()).ok());
+  EXPECT_FALSE(std::filesystem::exists(tmp));
+  const std::vector<uint8_t> before = ReadAll(path);
+  ASSERT_FALSE(before.empty());
+
+  // A directory where the temporary file goes makes the write fail.
+  kb->Revise(ParseOrDie("!b", &vocabulary));
+  ASSERT_TRUE(std::filesystem::create_directory(tmp));
+  const Status failed = SaveKnowledgeBaseArtifact(*kb, path.string());
+  EXPECT_FALSE(failed.ok());
+  EXPECT_EQ(ReadAll(path), before);
+  EXPECT_TRUE(std::filesystem::is_directory(tmp));
+  std::filesystem::remove(tmp);
+
+  // Once the obstacle is gone the save replaces the file.
+  ASSERT_TRUE(SaveKnowledgeBaseArtifact(*kb, path.string()).ok());
+  EXPECT_FALSE(std::filesystem::exists(tmp));
+  EXPECT_NE(ReadAll(path), before);
+  Vocabulary fresh;
+  StatusOr<KnowledgeBase> loaded =
+      LoadKnowledgeBaseArtifact(path.string(), &fresh);
+  std::filesystem::remove(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(loaded->num_revisions(), 1u);
 }
 
 TEST(KbArtifactTest, RoundTripsEveryFuzzShapeAtOneAndEightThreads) {
@@ -386,7 +445,13 @@ TEST(GoldenCanaryTest, CommittedArtifactStillLoads) {
   EXPECT_EQ(artifact->info().operator_name, "Dalal");
   EXPECT_EQ(artifact->info().strategy_name, "delayed");
   EXPECT_EQ(artifact->info().update_count, 1u);
-  EXPECT_TRUE(artifact->VerifyPackedSections().ok());
+  std::vector<std::string> sections;
+  for (const SectionInfo& section : artifact->info().sections) {
+    sections.push_back(section.name);
+  }
+  const std::vector<std::string> expected = {
+      "vocabulary", "formulas", "model_meta", "model_rows", "kb_meta"};
+  EXPECT_EQ(sections, expected);
 
   Vocabulary vocabulary;
   StatusOr<KbImage> image = artifact->Materialize(&vocabulary);
@@ -398,6 +463,8 @@ TEST(GoldenCanaryTest, CommittedArtifactStillLoads) {
       LoadKnowledgeBaseArtifact(GoldenPath(), &loaded);
   ASSERT_TRUE(kb.ok()) << kb.status().ToString();
   EXPECT_EQ(kb->Models().size(), 1u);
+  // Both vocabularies were empty, so the names intern to the same ids.
+  EXPECT_TRUE(kb->Models() == image->models);
   EXPECT_TRUE(kb->Ask(ParseOrDie("!l", &loaded)));
   EXPECT_TRUE(kb->Ask(ParseOrDie("s & p", &loaded)));
 }

@@ -7,7 +7,7 @@
 //     Parses the theory, applies each formula of the --revise file (one
 //     per line, same syntax as theory files) as a revision, and writes
 //     the compiled artifact: vocabulary, formula DAG, canonical packed
-//     model set, its ROBDD, and the folded representation.
+//     model set, and the folded representation.
 //
 //   inspect <kb.rkb>
 //     Prints the validated header and per-section metadata.
@@ -15,8 +15,8 @@
 //   verify <kb.rkb> [--deep]
 //     Validates every checksum and the packed-section invariants; with
 //     --deep also replays the revision sequence from the stored formulas
-//     and checks the recomputed model set, and the stored BDD, against
-//     the stored rows bit for bit.
+//     and checks the recomputed model set against the stored rows bit for
+//     bit.
 //
 // `--json` on any subcommand emits the same information as a single JSON
 // object on stdout.  Exit status: 0 success, 1 failure, 2 usage.
@@ -105,7 +105,6 @@ Json InfoToJson(const ArtifactInfo& info) {
   out["updates"] = info.update_count;
   out["alphabet_size"] = info.alphabet_size;
   out["models"] = info.model_count;
-  out["bdd_nodes"] = info.bdd_nodes;
   Json sections = Json::MakeArray();
   for (const revise::artifact::SectionInfo& section : info.sections) {
     Json row = Json::MakeObject();
@@ -137,8 +136,6 @@ void PrintInfo(const ArtifactInfo& info) {
               static_cast<unsigned long long>(info.alphabet_size));
   std::printf("models         : %llu\n",
               static_cast<unsigned long long>(info.model_count));
-  std::printf("bdd nodes      : %llu\n",
-              static_cast<unsigned long long>(info.bdd_nodes));
   std::printf("sections       :\n");
   for (const revise::artifact::SectionInfo& section : info.sections) {
     std::printf("  %-12s offset=%-8llu size=%-8llu crc64=%016llx\n",
@@ -221,13 +218,10 @@ int RunInspect(const std::string& path, bool json) {
 }
 
 int RunVerify(const std::string& path, bool deep, bool json) {
+  // Open validates the checksums and the packed-section invariants
+  // (canonical row order, zero padding, model count).
   StatusOr<KbArtifact> artifact = KbArtifact::Open(path);
   if (!artifact.ok()) return Fail(json, "verify", artifact.status());
-
-  // Checksums passed in Open; now the packed rows against the stored BDD
-  // (in place, no materialization).
-  Status packed = artifact->VerifyPackedSections();
-  if (!packed.ok()) return Fail(json, "verify", packed);
 
   if (deep) {
     Vocabulary vocabulary;
@@ -254,31 +248,6 @@ int RunVerify(const std::string& path, bool deep, bool json) {
                   revise::InternalError(
                       "stored model set differs from a fresh replay of the "
                       "stored revision sequence"));
-    }
-
-    // The stored BDD must accept exactly the stored models.  Exhaustive
-    // when the alphabet is small; membership-only beyond that.
-    const revise::Alphabet& alphabet = image->models.alphabet();
-    if (alphabet.size() <= 16) {
-      for (uint64_t index = 0;
-           index < (uint64_t{1} << alphabet.size()); ++index) {
-        revise::Interpretation m =
-            revise::Interpretation::FromIndex(alphabet.size(), index);
-        const bool stored = image->models.Contains(m);
-        if (image->bdd.Evaluate(m, alphabet) != stored) {
-          return Fail(json, "verify",
-                      revise::InternalError(
-                          "stored BDD disagrees with the stored model set"));
-        }
-      }
-    } else {
-      for (const revise::Interpretation& m : image->models) {
-        if (!image->bdd.Evaluate(m, alphabet)) {
-          return Fail(json, "verify",
-                      revise::InternalError(
-                          "stored BDD rejects a stored model"));
-        }
-      }
     }
   }
 
