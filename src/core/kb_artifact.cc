@@ -6,7 +6,6 @@
 
 #include "artifact/kb_image.h"
 #include "obs/metrics.h"
-#include "solve/model_cache.h"
 
 namespace revise {
 namespace {
@@ -62,16 +61,6 @@ StatusOr<KnowledgeBase> LoadKnowledgeBaseArtifact(const std::string& path,
   const RevisionOperator* op = OperatorById(image->operator_id);
   StatusOr<RevisionStrategy> strategy = StrategyFromWire(image->strategy);
   if (!strategy.ok()) return strategy.status();
-
-  // Prime the process-wide enumeration cache: queries on other handles
-  // to the same folded formula hit instead of re-sweeping.  The delayed
-  // strategy never enumerates the folded formula, so there is nothing to
-  // prime there — its fast path is the Models() memo seeded below.
-  if (*strategy != RevisionStrategy::kDelayed) {
-    ModelCache::Global().Insert(image->folded, image->models.alphabet(),
-                                image->models);
-    REVISE_OBS_COUNTER("artifact.cache_primes").Increment();
-  }
 
   StatusOr<KnowledgeBase> kb = KnowledgeBase::FromSnapshot(
       std::move(image->initial), std::move(image->updates),

@@ -5,9 +5,9 @@
 // precomputed compact revision, fresh letters included) and the canonical
 // model set — into the checksummed container of src/artifact/.  Loading
 // validates every checksum, reconstructs the formulas over the caller's
-// vocabulary, seeds the Models() memo from the packed rows, and primes
-// the global model cache, so the first query after a cold start costs a
-// file read instead of an AllSAT sweep.
+// vocabulary and seeds the Models() memo from the packed rows, so queries
+// after a cold start answer on the memo instead of an AllSAT sweep or a
+// SAT encoding of the folded formula.
 
 #ifndef REVISE_CORE_KB_ARTIFACT_H_
 #define REVISE_CORE_KB_ARTIFACT_H_

@@ -76,6 +76,7 @@ StatusOr<KnowledgeBase> KnowledgeBase::FromSnapshot(
 
 void KnowledgeBase::Revise(const Formula& p) {
   updates_.push_back(p);
+  solver_.reset();
   if (strategy_ == RevisionStrategy::kExplicit) {
     if (const auto* model_based =
             dynamic_cast<const ModelBasedOperator*>(op_)) {
@@ -179,7 +180,13 @@ ModelSet KnowledgeBase::ComputeModels() const {
   if (strategy_ == RevisionStrategy::kDelayed) {
     return IteratedReviseModels(*op_, initial_, updates_, alphabet);
   }
-  return EnumerateModels(folded_, alphabet);
+  // AllSAT on Ask's solver: from here on the memo answers Ask.
+  return Solver().Models(alphabet);
+}
+
+EntailmentSolver& KnowledgeBase::Solver() const {
+  if (!solver_.has_value()) solver_.emplace(folded_);
+  return *solver_;
 }
 
 bool KnowledgeBase::Ask(const Formula& query) const {
@@ -190,15 +197,12 @@ bool KnowledgeBase::Ask(const Formula& query) const {
     // are unconstrained; EntailedByModels quantifies them universally.
     return EntailedByModels(MemoizedModels(), query);
   }
-  // Explicit: the memo and folded_ have the same models, so answer on the
-  // memo when there is one, but never fill it here.
-  if (strategy_ == RevisionStrategy::kExplicit && models_memo_.has_value()) {
-    return EntailedByModels(*models_memo_, query);
-  }
-  // Otherwise plain entailment on the stored formula.  Under kCompact
-  // this is sound for queries over the original letters by query
-  // equivalence (criterion (1)).
-  return Entails(folded_, query);
+  // Explicit / compact: the memo holds the models of folded_ over the KB's
+  // letters (under kCompact their projection, which decides every query
+  // over those letters by query equivalence, criterion (1)), so answer on
+  // it when there is one, but never fill it here.
+  if (models_memo_.has_value()) return EntailedByModels(*models_memo_, query);
+  return Solver().Entails(query);
 }
 
 bool KnowledgeBase::IsModel(const Interpretation& m,

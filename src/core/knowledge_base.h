@@ -23,8 +23,17 @@
 //                Weber, the Section 6 schemes for Winslett / Borgida /
 //                Satoh / Forbus — these require each P to have a small
 //                alphabet — and the trivial construction for WIDTIO).
-//                Queries over the original letters are answered on the
-//                compact formula by ordinary entailment.
+//                Queries are answered on the compact formula by ordinary
+//                entailment, on one incremental solver per KB state that
+//                encodes the formula once; after Models(), IsModel or a
+//                cold start from .rkb they are answered on the memo.
+//
+// Query letters.  Ask is defined for queries whose letters are the KB's
+// (CurrentAlphabet()) or foreign to it; foreign letters are unconstrained.
+// The fresh letters the compact strategy mints into folded() are outside
+// this contract: they are not the KB's letters, yet folded() constrains
+// them, so an answer about them depends on whether the solver or the memo
+// decides it.
 
 #ifndef REVISE_CORE_KNOWLEDGE_BASE_H_
 #define REVISE_CORE_KNOWLEDGE_BASE_H_
@@ -37,6 +46,7 @@
 #include "logic/vocabulary.h"
 #include "model/model_set.h"
 #include "revision/operator.h"
+#include "solve/services.h"
 #include "util/status.h"
 
 namespace revise {
@@ -72,20 +82,22 @@ class KnowledgeBase {
   void Revise(const Formula& p);
 
   // Does the (iterated-)revised knowledge base entail `query`?  Letters
-  // of `query` outside the KB are unconstrained.  kDelayed answers on the
-  // model-set memo, filling it first if needed.  kExplicit answers on the
-  // memo when one is present (after a model-based Revise, after Models()
-  // or IsModel, or after a cold start from .rkb) and otherwise runs SAT
-  // entailment on the stored formula; it never fills the memo, since a
-  // formula-based result can be exponentially larger as a model set.
-  // kCompact runs SAT entailment on the stored formula.
+  // of `query` outside the KB are unconstrained (see "Query letters"
+  // above).  Every strategy answers on the model-set memo when one is
+  // present: kDelayed fills it first if needed; kExplicit and kCompact
+  // have one after a model-based explicit Revise, after Models() or
+  // IsModel, or after a cold start from .rkb.  Otherwise kExplicit and
+  // kCompact run SAT entailment on the stored formula, on the KB's
+  // incremental solver; Ask never fills the memo, since a formula-based
+  // or compact result can be exponentially larger as a model set.
   [[nodiscard]] bool Ask(const Formula& query) const;
 
   // Is `m` (over `alphabet` ⊇ the KB's letters) a model of the revised
-  // knowledge base?  Answered on the model-set memo.  Note: under kCompact
-  // filling the memo requires recomputing the projection — the compact
-  // representation is only QUERY-equivalent, the paper's criterion (1);
-  // cheap model checking is exactly what it gives up (Section 1).
+  // knowledge base?  Answered on the model-set memo.  Under kExplicit and
+  // kCompact, filling it runs AllSAT on the KB's solver, which the fill
+  // consumes.  Under kCompact that is a projection of the compact formula
+  // — the representation is only QUERY-equivalent, the paper's criterion
+  // (1); cheap model checking is exactly what it gives up (Section 1).
   [[nodiscard]] bool IsModel(const Interpretation& m,
                              const Alphabet& alphabet) const;
 
@@ -118,6 +130,8 @@ class KnowledgeBase {
   // The Models() memo, filled on first use; Ask and IsModel read it in
   // place instead of copying it.
   const ModelSet& MemoizedModels() const;
+  // The solver over folded_, built on first use.
+  EntailmentSolver& Solver() const;
 
   const RevisionOperator* op_;
   RevisionStrategy strategy_;
@@ -137,6 +151,12 @@ class KnowledgeBase {
   // every other Revise.  KnowledgeBase is a single-threaded object, as
   // before — concurrent const access is not synchronized.
   mutable std::optional<ModelSet> models_memo_;
+
+  // kExplicit / kCompact: Ask's incremental solver over folded_ (see
+  // EntailmentSolver), also the one the Models() fill enumerates on.
+  // Dropped by every Revise; a copied KB holds its own, built on first
+  // use, so copies never share solver state.
+  mutable std::optional<EntailmentSolver> solver_;
 };
 
 }  // namespace revise

@@ -47,6 +47,28 @@ uint64_t ProcessTag() {
 #endif
 }
 
+// A temp path for an .rkb file, unique across processes and calls.
+std::string TempArtifactPath(const Scenario& s) {
+  static std::atomic<uint64_t> counter{0};
+  return (std::filesystem::temp_directory_path() /
+          ("revise_fuzz_" + std::to_string(ProcessTag()) + "_" +
+           std::to_string(s.seed) + "_" +
+           std::to_string(counter.fetch_add(1)) + ".rkb"))
+      .string();
+}
+
+// The models of f over `alphabet` (⊇ V(f)) by a truth-table sweep of
+// Evaluate: no SAT solver and no model cache.
+ModelSet TruthTableModels(const Formula& f, const Alphabet& alphabet) {
+  const size_t n = alphabet.size();
+  std::vector<Interpretation> models;
+  for (uint64_t index = 0; index < (uint64_t{1} << n); ++index) {
+    Interpretation m = Interpretation::FromIndex(n, index);
+    if (Evaluate(f, alphabet, m)) models.push_back(std::move(m));
+  }
+  return ModelSet(alphabet, std::move(models));
+}
+
 std::string SetSizes(const ModelSet& got, const ModelSet& want) {
   return "got " + std::to_string(got.size()) + " models, expected " +
          std::to_string(want.size());
@@ -229,18 +251,12 @@ ModelSet RefModels(OperatorId id, const ModelSet& mt, const ModelSet& mp) {
 std::optional<std::string> BruteForceModelsOracle(const Scenario& s) {
   const Alphabet x = RevisionAlphabet(s.t, s.p);
   if (x.size() > kMaxOracleAlphabet) return std::nullopt;
-  const size_t n = x.size();
   const struct {
     const char* label;
     Formula formula;
   } sides[] = {{"theory", s.t.AsFormula()}, {"p", s.p}};
   for (const auto& side : sides) {
-    std::vector<Interpretation> expected;
-    for (uint64_t index = 0; index < (uint64_t{1} << n); ++index) {
-      Interpretation m = Interpretation::FromIndex(n, index);
-      if (Evaluate(side.formula, x, m)) expected.push_back(std::move(m));
-    }
-    const ModelSet want(x, std::move(expected));
+    const ModelSet want = TruthTableModels(side.formula, x);
     const ModelSet got = EnumerateModels(side.formula, x, 0);
     if (!(got == want)) {
       return std::string(side.label) + ": AllSAT disagrees with the " +
@@ -471,7 +487,9 @@ std::optional<std::string> EntailmentOracle(const Scenario& s) {
 // nine operators: the model-set memo and Ask must match the folded
 // formula they stand for, and under a model-based operator the fold must
 // be the operator's own ReviseFormula chain.  y is a fresh letter, so
-// "Q | y" is a query beyond the KB's letters.
+// "Q | y" is a query beyond the KB's letters.  The reference models come
+// from a truth table, independent of the AllSAT loop and the model cache
+// behind the set under test.
 std::optional<std::string> ExplicitFoldOracle(const Scenario& s) {
   if (IteratedAlphabet(s.t, {s.p, s.q}).size() > kMaxOracleAlphabet) {
     return std::nullopt;
@@ -518,12 +536,88 @@ std::optional<std::string> ExplicitFoldOracle(const Scenario& s) {
         if (pass == 0) {
           const ModelSet got = kb->Models();
           const ModelSet want =
-              EnumerateModels(kb->folded(), kb->CurrentAlphabet(), 0);
+              TruthTableModels(kb->folded(), kb->CurrentAlphabet());
           if (!(got == want)) {
             return name + ": Models() differs from the models of folded() (" +
                    SetSizes(got, want) + ")";
           }
         }
+      }
+    }
+  }
+  return std::nullopt;
+}
+
+// A compact KnowledgeBase revised by P and then by Q, under each of the
+// seven operators with a compact construction.  Ask must agree with a
+// fresh-solver Entails on folded() at three points: on the KB's
+// incremental solver, on the memo Models() fills (whose enumeration on
+// that solver must match a fresh one), and on the KB reloaded from .rkb.
+// The sequence asks Q around !Q, so a retired query that leaked into the
+// next would show, then P and Q | y with y a letter foreign to the KB.
+std::optional<std::string> CompactAskOracle(const Scenario& s) {
+  if (IteratedAlphabet(s.t, {s.p, s.q}).size() > kMaxOracleAlphabet) {
+    return std::nullopt;
+  }
+  const Formula y = Formula::Variable(s.vocabulary->Fresh("y"));
+  const struct {
+    const char* name;
+    Formula query;
+  } queries[] = {{"Q", s.q},
+                 {"!Q", Formula::Not(s.q)},
+                 {"Q again", s.q},
+                 {"P", s.p},
+                 {"Q | y", Formula::Or(s.q, y)}};
+  for (const RevisionOperator* op : AllOperators()) {
+    if (op->id() == OperatorId::kGfuv || op->id() == OperatorId::kNebel) {
+      continue;  // no compact representation (Theorems 3.1 / 4.1)
+    }
+    StatusOr<KnowledgeBase> kb = KnowledgeBase::Create(
+        s.t, op, RevisionStrategy::kCompact, s.vocabulary.get());
+    if (!kb.ok()) {
+      return std::string(op->name()) +
+             ": Create failed: " + kb.status().ToString();
+    }
+    const std::pair<const char*, Formula> steps[] = {{"P", s.p},
+                                                     {"Q", s.q}};
+    for (const auto& [step, update] : steps) {
+      kb->Revise(update);
+      const std::string name = std::string(op->name()) + " after " + step;
+      const auto disagreement =
+          [&](const KnowledgeBase& asked,
+              const char* where) -> std::optional<std::string> {
+        for (const auto& [query_name, query] : queries) {
+          if (asked.Ask(query) != Entails(kb->folded(), query)) {
+            return name + ": Ask(" + query_name + ") " + where +
+                   " differs from fresh-solver entailment on folded()";
+          }
+        }
+        return std::nullopt;
+      };
+      if (auto failure = disagreement(*kb, "on the solver")) return failure;
+      const ModelSet got = kb->Models();
+      const ModelSet want =
+          EnumerateModels(kb->folded(), kb->CurrentAlphabet(), 0);
+      if (!(got == want)) {
+        return name + ": Models() on the Ask solver differs from a fresh "
+                      "enumeration of folded() (" +
+               SetSizes(got, want) + ")";
+      }
+      if (auto failure = disagreement(*kb, "on the memo")) return failure;
+
+      const std::string path = TempArtifactPath(s);
+      if (const Status saved = SaveKnowledgeBaseArtifact(*kb, path);
+          !saved.ok()) {
+        return name + ": save failed: " + saved.ToString();
+      }
+      StatusOr<KnowledgeBase> loaded =
+          LoadKnowledgeBaseArtifact(path, s.vocabulary.get());
+      std::filesystem::remove(path);
+      if (!loaded.ok()) {
+        return name + ": load failed: " + loaded.status().ToString();
+      }
+      if (auto failure = disagreement(*loaded, "after a .rkb round trip")) {
+        return failure;
       }
     }
   }
@@ -641,7 +735,6 @@ std::optional<std::string> ArtifactRoundtripOracle(const Scenario& s) {
       // re-interned on load.
       {OperatorId::kDalal, RevisionStrategy::kCompact, "Dalal/compact"},
   };
-  static std::atomic<uint64_t> counter{0};
   for (const auto& config : configs) {
     const std::string name = std::string("artifact ") + config.label;
     StatusOr<KnowledgeBase> kb =
@@ -654,12 +747,7 @@ std::optional<std::string> ArtifactRoundtripOracle(const Scenario& s) {
     const ModelSet direct = kb->Models();
     const bool direct_ask = kb->Ask(s.q);
 
-    const std::string path =
-        (std::filesystem::temp_directory_path() /
-         ("revise_fuzz_" + std::to_string(ProcessTag()) + "_" +
-          std::to_string(s.seed) + "_" +
-          std::to_string(counter.fetch_add(1)) + ".rkb"))
-            .string();
+    const std::string path = TempArtifactPath(s);
     if (const Status saved = SaveKnowledgeBaseArtifact(*kb, path);
         !saved.ok()) {
       return name + ": save failed: " + saved.ToString();
@@ -751,6 +839,10 @@ const std::vector<Oracle> kOracles = {
     {"explicit-fold",
      "explicit KB revised by P then Q: memo and Ask vs the folded formula",
      ExplicitFoldOracle},
+    {"compact-ask",
+     "compact KB revised by P then Q: Ask on the solver, the memo and a "
+     ".rkb reload vs fresh-solver entailment",
+     CompactAskOracle},
     {"postulates",
      "KM laws: success, consistency, vacuity, U2, idempotence",
      PostulatesOracle},

@@ -30,10 +30,17 @@
 //                         Q <-> y with y a fresh letter.
 //   explicit-fold         an explicit KnowledgeBase revised by P then Q
 //                         under each of the nine operators: Models() vs
-//                         the models of folded(), Ask vs SAT entailment on
-//                         folded() (Q, !Q, P, Q | y with y fresh), and
-//                         for the model-based operators folded() vs the
-//                         operator's ReviseFormula chain.
+//                         a truth table of folded(), Ask vs SAT
+//                         entailment on folded() (Q, !Q, P, Q | y with y
+//                         fresh), and for the model-based operators
+//                         folded() vs the operator's ReviseFormula chain.
+//   compact-ask           a compact KnowledgeBase revised by P then Q
+//                         under each of the seven compact operators: Ask
+//                         (Q, !Q, Q, P, Q | y) on the KB's incremental
+//                         solver, on the memo after Models() and after a
+//                         .rkb round trip vs fresh-solver entailment on
+//                         folded(), and Models() on the used solver vs a
+//                         fresh enumeration.
 //   postulates            the KM laws every one of the six operators must
 //                         satisfy (success, consistency, update vacuity,
 //                         idempotence) and revision vacuity for the four

@@ -12,17 +12,16 @@ namespace revise {
 
 namespace {
 
-// Core blocking-clause AllSAT loop shared by EnumerateModels and
-// QueryEquivalent: invokes visit(m) once per distinct projection m of a
-// model of f onto `alphabet`, in enumeration order, until visit returns
-// false or the projections are exhausted.
+// Core blocking-clause AllSAT loop shared by EnumerateModels,
+// EntailmentSolver::Models and QueryEquivalent: invokes visit(m) once per
+// distinct projection m onto `alphabet` of a model of the clauses in
+// `context`, in enumeration order, until visit returns false or the
+// projections are exhausted.  The blocking clauses stay in `context`.
 template <typename Visit>
-void ForEachProjectedModel(const Formula& f, const Alphabet& alphabet,
+void ForEachProjectedModel(SatContext& context, const Alphabet& alphabet,
                            Visit&& visit) {
-  SatContext context;
-  context.Assert(f);
   // Force the mapping of every alphabet variable to exist so blocking
-  // clauses can mention letters that do not occur in f.
+  // clauses can mention letters that do not occur in the clauses.
   std::vector<sat::Lit> alphabet_lits(alphabet.size());
   for (size_t i = 0; i < alphabet.size(); ++i) {
     alphabet_lits[i] = sat::PosLit(context.SatVarOf(alphabet.var(i)));
@@ -38,6 +37,19 @@ void ForEachProjectedModel(const Formula& f, const Alphabet& alphabet,
     }
     if (!context.solver().AddClause(std::move(blocking))) return;
   }
+}
+
+// The first `limit` (0 = all) projections onto `alphabet`, as a set.
+ModelSet CollectProjectedModels(SatContext& context, const Alphabet& alphabet,
+                                size_t limit) {
+  std::vector<Interpretation> models;
+  ForEachProjectedModel(context, alphabet, [&](const Interpretation& m) {
+    models.push_back(m);
+    return limit == 0 || models.size() < limit;
+  });
+  REVISE_OBS_COUNTER("solve.models_enumerated").Increment(models.size());
+  obs::NoteModelSetCardinality(models.size());
+  return ModelSet(alphabet, std::move(models));
 }
 
 // True iff every variable of f lies inside `alphabet`, i.e. enumerating f
@@ -58,13 +70,59 @@ bool IsSatisfiable(const Formula& f) {
   return context.Solve();
 }
 
-bool Entails(const Formula& a, const Formula& b) {
-  // a |= b iff a & !b is unsatisfiable.
+EntailmentSolver::EntailmentSolver(Formula base) : base_(std::move(base)) {}
+
+EntailmentSolver::EntailmentSolver(const EntailmentSolver& other)
+    : base_(other.base_) {}
+
+EntailmentSolver& EntailmentSolver::operator=(const EntailmentSolver& other) {
+  base_ = other.base_;
+  context_.reset();
+  return *this;
+}
+
+EntailmentSolver::EntailmentSolver(EntailmentSolver&&) noexcept = default;
+EntailmentSolver& EntailmentSolver::operator=(EntailmentSolver&&) noexcept =
+    default;
+EntailmentSolver::~EntailmentSolver() = default;
+
+SatContext& EntailmentSolver::Context() {
+  if (context_ != nullptr &&
+      context_->solver().NumVars() - base_vars_ > base_vars_) {
+    context_.reset();
+    REVISE_OBS_COUNTER("solve.entails.rebuilds").Increment();
+  }
+  if (context_ == nullptr) {
+    context_ = std::make_unique<SatContext>();
+    context_->Assert(base_);
+    base_vars_ = context_->solver().NumVars();
+  }
+  return *context_;
+}
+
+bool EntailmentSolver::Entails(const Formula& q) {
+  // base |= q iff base & !q is unsatisfiable.
   obs::ProfileScope profile("solve.entails");
-  SatContext context;
-  context.Assert(a);
-  context.Assert(Formula::Not(b));
-  return !context.Solve();
+  SatContext& context = Context();
+  const sat::Lit active = context.FreshLit();
+  const sat::Lit negated = context.Encode(Formula::Not(q));
+  sat::Solver::LatchConflict(
+      context.solver().AddBinary(sat::Negate(active), negated));
+  const bool entailed = !context.Solve({active});
+  // Retire the query: its clause is satisfied from here on.
+  sat::Solver::LatchConflict(context.solver().AddUnit(sat::Negate(active)));
+  return entailed;
+}
+
+ModelSet EntailmentSolver::Models(const Alphabet& alphabet) {
+  obs::ProfileScope profile("solve.enumerate");
+  ModelSet models = CollectProjectedModels(Context(), alphabet, 0);
+  context_.reset();
+  return models;
+}
+
+bool Entails(const Formula& a, const Formula& b) {
+  return EntailmentSolver(a).Entails(b);
 }
 
 bool EntailedByModels(const ModelSet& models, const Formula& q) {
@@ -126,14 +184,9 @@ ModelSet EnumerateModels(const Formula& f, const Alphabet& alphabet,
       return *std::move(cached);
     }
   }
-  std::vector<Interpretation> models;
-  ForEachProjectedModel(f, alphabet, [&](const Interpretation& m) {
-    models.push_back(m);
-    return limit == 0 || models.size() < limit;
-  });
-  REVISE_OBS_COUNTER("solve.models_enumerated").Increment(models.size());
-  obs::NoteModelSetCardinality(models.size());
-  ModelSet result(alphabet, std::move(models));
+  SatContext context;
+  context.Assert(f);
+  ModelSet result = CollectProjectedModels(context, alphabet, limit);
   if (cacheable) ModelCache::Global().Insert(f, alphabet, result);
   return result;
 }
@@ -158,7 +211,9 @@ bool QueryEquivalent(const Formula& a, const Formula& b,
   const ModelSet ma = EnumerateModels(a, alphabet);
   size_t shared = 0;
   bool contained = true;
-  ForEachProjectedModel(b, alphabet, [&](const Interpretation& m) {
+  SatContext context;
+  context.Assert(b);
+  ForEachProjectedModel(context, alphabet, [&](const Interpretation& m) {
     if (!ma.Contains(m)) {
       contained = false;
       return false;

@@ -4,6 +4,7 @@
 #ifndef REVISE_SOLVE_SERVICES_H_
 #define REVISE_SOLVE_SERVICES_H_
 
+#include <memory>
 #include <vector>
 
 #include "logic/formula.h"
@@ -12,9 +13,45 @@
 
 namespace revise {
 
+class SatContext;
+
 [[nodiscard]] bool IsSatisfiable(const Formula& f);
 
-// a |= b.
+// Decides base |= q for a stream of queries on one incremental solver.
+// base is Tseitin-encoded once, on first use.  Each query encodes !q under
+// a fresh activation literal a (clause !a | !q), solves assuming a, and is
+// retired by the unit !a; encodings of shared subformulas are reused.
+// Memory stays bounded by the input: once the retired query encodings
+// hold more solver variables than base's own encoding, the next use drops
+// the solver and encodes base afresh.  A copy holds the same base but not
+// the solver, which it builds on first use.
+class EntailmentSolver {
+ public:
+  explicit EntailmentSolver(Formula base);
+  EntailmentSolver(const EntailmentSolver& other);
+  EntailmentSolver& operator=(const EntailmentSolver& other);
+  EntailmentSolver(EntailmentSolver&&) noexcept;
+  EntailmentSolver& operator=(EntailmentSolver&&) noexcept;
+  ~EntailmentSolver();
+
+  // base |= q.
+  [[nodiscard]] bool Entails(const Formula& q);
+
+  // All models of base over `alphabet`, as EnumerateModels(base, alphabet)
+  // but without the model cache.  The AllSAT loop runs on this solver and
+  // its blocking clauses consume it: the next call encodes base afresh.
+  [[nodiscard]] ModelSet Models(const Alphabet& alphabet);
+
+ private:
+  // The solver with base asserted, built (or rebuilt) as needed.
+  SatContext& Context();
+
+  Formula base_;
+  std::unique_ptr<SatContext> context_;
+  int base_vars_ = 0;  // solver variables of base's own encoding
+};
+
+// a |= b: one EntailmentSolver over a, used once.
 [[nodiscard]] bool Entails(const Formula& a, const Formula& b);
 
 // DNF(models) |= q, decided on the model set itself; the same answer as

@@ -442,6 +442,72 @@ TEST(KnowledgeBaseTest, CompactStaysPolynomialWhereExplicitExplodes) {
   EXPECT_LE(max_increment, 600u);
 }
 
+TEST(KnowledgeBaseTest, CompactAskStaysCorrectAcrossAThousandQueries) {
+  // Compact Ask runs on one incremental solver per KB state.  1,000
+  // distinct queries retire far more encoding than the compact formula's
+  // own, so the solver is rebuilt along the way, yet it is reused across
+  // many queries between rebuilds; every answer must match a fresh solver.
+  Vocabulary vocabulary;
+  KnowledgeBase kb = MakeKb(
+      Theory::ParseOrDie("q0 & q1 & (q2 | q3); q4 -> q5", &vocabulary),
+      OperatorById(OperatorId::kDalal), RevisionStrategy::kCompact,
+      &vocabulary);
+  kb.Revise(ParseOrDie("!q0 | !q2", &vocabulary));
+  kb.Revise(ParseOrDie("!q1 & q4", &vocabulary));
+  // Six KB letters and one foreign letter.
+  std::vector<Formula> letters;
+  for (const char* name : {"q0", "q1", "q2", "q3", "q4", "q5", "outside"}) {
+    letters.push_back(Formula::Variable(vocabulary.Intern(name)));
+  }
+  obs::Counter* rebuilds =
+      obs::Registry::Global().GetCounter("solve.entails.rebuilds");
+  const uint64_t rebuilds_before = rebuilds->Value();
+  int entailed = 0;
+  for (int i = 1; i <= 1000; ++i) {
+    // The base-3 digits of i pick each letter as absent, positive or
+    // negated, so every query is a different clause.
+    std::vector<Formula> literals;
+    for (int digits = i, j = 0; digits > 0; digits /= 3, ++j) {
+      if (digits % 3 == 1) literals.push_back(letters[j]);
+      if (digits % 3 == 2) literals.push_back(Formula::Not(letters[j]));
+    }
+    const Formula query = Formula::Or(literals);
+    const bool expected = Entails(kb.folded(), query);
+    ASSERT_EQ(kb.Ask(query), expected) << "query " << i;
+    entailed += expected ? 1 : 0;
+  }
+  EXPECT_GT(entailed, 0);
+  EXPECT_LT(entailed, 1000);
+  const uint64_t rebuilt = rebuilds->Value() - rebuilds_before;
+  EXPECT_GE(rebuilt, 1u);
+  EXPECT_LT(rebuilt, 100u);
+}
+
+TEST(KnowledgeBaseTest, CopiedCompactKbAnswersAfterTheOriginalRevises) {
+  // A copy does not share the original's solver: revising the original
+  // (which drops and later rebuilds its solver) leaves the copy answering
+  // for the state it was copied in.
+  Vocabulary vocabulary;
+  KnowledgeBase kb =
+      MakeKb(Theory::ParseOrDie("a & b; b -> c", &vocabulary),
+             OperatorById(OperatorId::kDalal), RevisionStrategy::kCompact,
+             &vocabulary);
+  kb.Revise(ParseOrDie("!a | !c", &vocabulary));
+  const Formula b = ParseOrDie("b", &vocabulary);
+  ASSERT_TRUE(kb.Ask(b));  // builds the original's solver
+  const KnowledgeBase copy = kb;
+  const Formula copied_fold = copy.folded();
+  kb.Revise(ParseOrDie("!b", &vocabulary));
+  EXPECT_TRUE(copy.Ask(b));
+  EXPECT_FALSE(kb.Ask(b));
+  for (const char* text : {"b", "!b", "a | c", "c", "a & c", "a | y"}) {
+    const Formula query = ParseOrDie(text, &vocabulary);
+    EXPECT_EQ(copy.Ask(query), Entails(copied_fold, query)) << text;
+    EXPECT_EQ(kb.Ask(query), Entails(kb.folded(), query)) << text;
+  }
+  EXPECT_TRUE(copy.folded().StructurallyEqual(copied_fold));
+}
+
 TEST(TheoryIoTest, TextRoundTrip) {
   Vocabulary vocabulary;
   const Theory t = Theory::ParseOrDie(
