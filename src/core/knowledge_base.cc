@@ -11,10 +11,8 @@ namespace revise {
 
 namespace {
 
-// `models` re-expressed over `target`.  Letters outside `target` are
-// projected away, which is exact only because the caller passes a model
-// set on which they are unconstrained; letters new in `target` take both
-// values.
+// `models` re-expressed over `target`, a superset of its alphabet: the
+// letters new in `target` take both values.
 ModelSet OverAlphabet(const ModelSet& models, const Alphabet& target) {
   if (models.alphabet() == target) return models;
   std::vector<Interpretation> rows = models.ProjectTo(target).models();
@@ -35,6 +33,9 @@ KnowledgeBase::KnowledgeBase(Theory initial, const RevisionOperator* op,
                              RevisionStrategy strategy,
                              Vocabulary* vocabulary)
     : op_(op),
+      model_fold_(strategy == RevisionStrategy::kCompact
+                      ? nullptr
+                      : dynamic_cast<const ModelBasedOperator*>(op)),
       strategy_(strategy),
       vocabulary_(vocabulary),
       initial_(std::move(initial)),
@@ -64,6 +65,12 @@ StatusOr<KnowledgeBase> KnowledgeBase::FromSnapshot(
     Theory folded_theory, std::optional<ModelSet> models,
     const RevisionOperator* op, RevisionStrategy strategy,
     Vocabulary* vocabulary) {
+  if (models.has_value() &&
+      !(models->alphabet() == IteratedAlphabet(initial, updates))) {
+    return InvalidArgumentError(
+        "snapshot model set is not over the letters of its theory and "
+        "updates");
+  }
   StatusOr<KnowledgeBase> kb =
       Create(std::move(initial), op, strategy, vocabulary);
   if (!kb.ok()) return kb;
@@ -71,18 +78,28 @@ StatusOr<KnowledgeBase> KnowledgeBase::FromSnapshot(
   kb->folded_ = std::move(folded);
   kb->folded_theory_ = std::move(folded_theory);
   kb->models_memo_ = std::move(models);
+  kb->memo_updates_ = kb->updates_.size();
   return kb;
 }
 
 void KnowledgeBase::Revise(const Formula& p) {
   updates_.push_back(p);
   solver_.reset();
-  if (strategy_ == RevisionStrategy::kExplicit) {
-    if (const auto* model_based =
-            dynamic_cast<const ModelBasedOperator*>(op_)) {
-      FoldModels(*model_based, p);
-      return;
-    }
+  if (model_fold_ != nullptr) {
+    // kDelayed stops here: the next query folds p into the memo.
+    if (strategy_ == RevisionStrategy::kDelayed) return;
+    // The fold is ReviseFormula(folded_theory_, p): the canonical DNF of
+    // the revised model set over RevisionAlphabet(folded_theory_, p).
+    // That alphabet is CurrentAlphabet() unless a step left folded_ =
+    // False; the older letters are then unconstrained in the memo, so
+    // projecting them away is exact.
+    const ModelSet& revised = MemoizedModels();
+    const Alphabet alphabet = RevisionAlphabet(folded_theory_, p);
+    folded_ = CanonicalDnf(revised.alphabet() == alphabet
+                               ? revised
+                               : revised.ProjectTo(alphabet));
+    folded_theory_ = Theory({folded_});
+    return;
   }
   models_memo_.reset();
   switch (strategy_) {
@@ -137,31 +154,6 @@ void KnowledgeBase::Revise(const Formula& p) {
   }
 }
 
-void KnowledgeBase::FoldModels(const ModelBasedOperator& op,
-                               const Formula& p) {
-  // The fold is ReviseFormula(folded_theory_, p): the canonical DNF of the
-  // revised model set over RevisionAlphabet(folded_theory_, p).  Revise
-  // the memo when there is one (its letters beyond that alphabet are
-  // absent from folded_, hence unconstrained), render the DNF, and keep
-  // the set as the new memo.
-  const Alphabet alphabet = RevisionAlphabet(folded_theory_, p);
-  ModelSet revised = op.ReviseModelSet(
-      models_memo_.has_value()
-          ? OverAlphabet(*models_memo_, alphabet)
-          : EnumerateModels(folded_theory_.AsFormula(), alphabet),
-      p);
-  folded_ = CanonicalDnf(revised);
-  folded_theory_ = Theory({folded_});
-  // The alphabets differ only after a step left folded_ = False: the
-  // older letters are then unconstrained, and multiplying them out is
-  // left to Models().
-  if (alphabet == CurrentAlphabet()) {
-    models_memo_ = std::move(revised);
-  } else {
-    models_memo_.reset();
-  }
-}
-
 Alphabet KnowledgeBase::CurrentAlphabet() const {
   return IteratedAlphabet(initial_, updates_);
 }
@@ -169,8 +161,21 @@ Alphabet KnowledgeBase::CurrentAlphabet() const {
 ModelSet KnowledgeBase::Models() const { return MemoizedModels(); }
 
 const ModelSet& KnowledgeBase::MemoizedModels() const {
+  if (model_fold_ == nullptr) {
+    if (!models_memo_.has_value()) models_memo_ = ComputeModels();
+    return *models_memo_;
+  }
+  // Catch up: fold the updates the memo has not absorbed, on the memo
+  // re-expressed over the KB's letters.
   if (!models_memo_.has_value()) {
-    models_memo_ = ComputeModels();
+    models_memo_ = EnumerateModels(initial_.AsFormula(), CurrentAlphabet());
+    memo_updates_ = 0;
+  } else if (memo_updates_ < updates_.size()) {
+    models_memo_ = OverAlphabet(*models_memo_, CurrentAlphabet());
+  }
+  for (; memo_updates_ < updates_.size(); ++memo_updates_) {
+    models_memo_ =
+        model_fold_->ReviseModelSet(*models_memo_, updates_[memo_updates_]);
   }
   return *models_memo_;
 }
@@ -178,7 +183,8 @@ const ModelSet& KnowledgeBase::MemoizedModels() const {
 ModelSet KnowledgeBase::ComputeModels() const {
   const Alphabet alphabet = CurrentAlphabet();
   if (strategy_ == RevisionStrategy::kDelayed) {
-    return IteratedReviseModels(*op_, initial_, updates_, alphabet);
+    return EnumerateModels(
+        IteratedReviseTheory(*op_, initial_, updates_).AsFormula(), alphabet);
   }
   // AllSAT on Ask's solver: from here on the memo answers Ask.
   return Solver().Models(alphabet);
@@ -192,9 +198,10 @@ EntailmentSolver& KnowledgeBase::Solver() const {
 bool KnowledgeBase::Ask(const Formula& query) const {
   if (strategy_ == RevisionStrategy::kDelayed) {
     // Compute the revision on demand (the paper's recommended strategy):
-    // materialize the iterated model set once, then decide entailment on
-    // the memo itself.  Letters of the query outside the knowledge base
-    // are unconstrained; EntailedByModels quantifies them universally.
+    // fill the memo or fold the pending updates into it, then decide
+    // entailment on the memo itself.  Letters of the query outside the
+    // knowledge base are unconstrained; EntailedByModels quantifies them
+    // universally.
     return EntailedByModels(MemoizedModels(), query);
   }
   // Explicit / compact: the memo holds the models of folded_ over the KB's

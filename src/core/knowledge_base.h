@@ -8,16 +8,19 @@
 //                on demand at query time.  Always available; this is the
 //                strategy Section 8 recommends, and polynomial space is
 //                guaranteed (Table 2's caveat: keep the P^i around).
-//                The first query materializes the iterated model set
-//                once; Ask then decides entailment on that memo directly
-//                (EntailedByModels), never re-encoding it as a formula.
+//                Revise only appends P.  For the six model-based
+//                operators the next query folds the updates the model-set
+//                memo has not absorbed yet into it, one ReviseModelSet
+//                step each; Ask then decides entailment on that memo
+//                directly (EntailedByModels), never re-encoding it as a
+//                formula.
 //  * kExplicit — eagerly fold every revision into an explicit equivalent
 //                formula.  Sizes can explode exactly where Tables 1-2 say
 //                NO; StoredSize() exposes the growth.  For the six
-//                model-based operators that formula is the canonical DNF
-//                of the revised model set, so Revise keeps the set as the
-//                model-set memo and the next Revise starts from it: the
-//                DNF is rendered, never enumerated back.
+//                model-based operators Revise runs the same memo fold as
+//                kDelayed and renders the result as its canonical DNF:
+//                the two strategies differ only in that rendering, and
+//                the DNF is never enumerated back.
 //  * kCompact  — eagerly fold using the paper's query-equivalent compact
 //                constructions (Theorem 5.1 for Dalal, Corollary 5.2 for
 //                Weber, the Section 6 schemes for Winslett / Borgida /
@@ -66,8 +69,10 @@ class KnowledgeBase {
 
   // Resumes from a saved snapshot (core/kb_artifact.h): the stored state
   // is adopted verbatim and `models`, when present, seeds the Models()
-  // memo so the first query after a cold start skips enumeration.
-  // Rejects the same operator/strategy combinations as Create.
+  // memo as having absorbed every update, so the first query after a
+  // cold start skips enumeration.  Rejects the same operator/strategy
+  // combinations as Create, and a model set whose alphabet is not
+  // IteratedAlphabet(initial, updates).
   static StatusOr<KnowledgeBase> FromSnapshot(
       Theory initial, std::vector<Formula> updates, Formula folded,
       Theory folded_theory, std::optional<ModelSet> models,
@@ -84,20 +89,22 @@ class KnowledgeBase {
   // Does the (iterated-)revised knowledge base entail `query`?  Letters
   // of `query` outside the KB are unconstrained (see "Query letters"
   // above).  Every strategy answers on the model-set memo when one is
-  // present: kDelayed fills it first if needed; kExplicit and kCompact
-  // have one after a model-based explicit Revise, after Models() or
-  // IsModel, or after a cold start from .rkb.  Otherwise kExplicit and
-  // kCompact run SAT entailment on the stored formula, on the KB's
-  // incremental solver; Ask never fills the memo, since a formula-based
-  // or compact result can be exponentially larger as a model set.
+  // present: kDelayed fills or catches it up first if needed; kExplicit
+  // and kCompact have one after a model-based explicit Revise, after
+  // Models() or IsModel, or after a cold start from .rkb.  Otherwise
+  // kExplicit and kCompact run SAT entailment on the stored formula, on
+  // the KB's incremental solver; Ask never fills the memo, since a
+  // formula-based or compact result can be exponentially larger as a
+  // model set.
   [[nodiscard]] bool Ask(const Formula& query) const;
 
   // Is `m` (over `alphabet` ⊇ the KB's letters) a model of the revised
-  // knowledge base?  Answered on the model-set memo.  Under kExplicit and
-  // kCompact, filling it runs AllSAT on the KB's solver, which the fill
-  // consumes.  Under kCompact that is a projection of the compact formula
-  // — the representation is only QUERY-equivalent, the paper's criterion
-  // (1); cheap model checking is exactly what it gives up (Section 1).
+  // knowledge base?  Answered on the model-set memo.  Under kCompact, and
+  // kExplicit with a formula-based operator, filling it runs AllSAT on
+  // the KB's solver, which the fill consumes.  Under kCompact that is a
+  // projection of the compact formula — the representation is only
+  // QUERY-equivalent, the paper's criterion (1); cheap model checking is
+  // exactly what it gives up (Section 1).
   [[nodiscard]] bool IsModel(const Interpretation& m,
                              const Alphabet& alphabet) const;
 
@@ -124,16 +131,21 @@ class KnowledgeBase {
   KnowledgeBase(Theory initial, const RevisionOperator* op,
                 RevisionStrategy strategy, Vocabulary* vocabulary);
 
-  // Revise under kExplicit with a model-based operator.
-  void FoldModels(const ModelBasedOperator& op, const Formula& p);
+  // The Models() memo without model_fold_: AllSAT on the solver, or the
+  // from-scratch formula-based fold under kDelayed.
   ModelSet ComputeModels() const;
-  // The Models() memo, filled on first use; Ask and IsModel read it in
+  // The Models() memo, filled on first use and, with model_fold_, caught
+  // up with the updates it has not absorbed; Ask and IsModel read it in
   // place instead of copying it.
   const ModelSet& MemoizedModels() const;
   // The solver over folded_, built on first use.
   EntailmentSolver& Solver() const;
 
   const RevisionOperator* op_;
+  // op_ when it is model-based and the strategy is kDelayed or kExplicit:
+  // the operator whose ReviseModelSet folds updates_ into the memo.
+  // Null otherwise.
+  const ModelBasedOperator* model_fold_;
   RevisionStrategy strategy_;
   Vocabulary* vocabulary_;
 
@@ -145,12 +157,16 @@ class KnowledgeBase {
   // WIDTIO folds theories, not formulas.
   Theory folded_theory_;
 
-  // Memo behind Models(), Ask and IsModel, over CurrentAlphabet(): filled
-  // on first computation (or seeded from a loaded artifact), replaced by
-  // the revised model set on a model-based kExplicit Revise, dropped by
-  // every other Revise.  KnowledgeBase is a single-threaded object, as
-  // before — concurrent const access is not synchronized.
+  // Memo behind Models(), Ask and IsModel.  With model_fold_ it is M(T)
+  // folded through the first memo_updates_ updates, over the letters of
+  // T and those updates: filled from M(T) on first use (or seeded from a
+  // loaded artifact, which has absorbed every update), kept by Revise
+  // and caught up by MemoizedModels().  Without model_fold_ it is over
+  // CurrentAlphabet(), filled on first computation (or seeded) and
+  // dropped by every Revise.  KnowledgeBase is a single-threaded object,
+  // as before — concurrent const access is not synchronized.
   mutable std::optional<ModelSet> models_memo_;
+  mutable size_t memo_updates_ = 0;
 
   // kExplicit / kCompact: Ask's incremental solver over folded_ (see
   // EntailmentSolver), also the one the Models() fill enumerates on.

@@ -483,13 +483,16 @@ std::optional<std::string> EntailmentOracle(const Scenario& s) {
   return std::nullopt;
 }
 
-// An explicit KnowledgeBase revised by P and then by Q, under each of the
-// nine operators: the model-set memo and Ask must match the folded
-// formula they stand for, and under a model-based operator the fold must
-// be the operator's own ReviseFormula chain.  y is a fresh letter, so
-// "Q | y" is a query beyond the KB's letters.  The reference models come
-// from a truth table, independent of the AllSAT loop and the model cache
-// behind the set under test.
+// An explicit and a delayed KnowledgeBase revised by P and then by Q,
+// under each of the nine operators.  Explicit: the model-set memo and Ask
+// must match the folded formula they stand for, and under a model-based
+// operator the fold must be the operator's own ReviseFormula chain; the
+// reference models come from a truth table, independent of the AllSAT
+// loop and the model cache behind the set under test.  Delayed: Ask
+// between P and Q leaves the memo one update behind, and after Q both Ask
+// and Models() must match the from-scratch IteratedReviseModels, as must
+// Models() of a copy first queried with both updates pending.  y is a
+// fresh letter, so "Q | y" is a query beyond the KB's letters.
 std::optional<std::string> ExplicitFoldOracle(const Scenario& s) {
   if (IteratedAlphabet(s.t, {s.p, s.q}).size() > kMaxOracleAlphabet) {
     return std::nullopt;
@@ -543,6 +546,45 @@ std::optional<std::string> ExplicitFoldOracle(const Scenario& s) {
           }
         }
       }
+    }
+
+    StatusOr<KnowledgeBase> delayed = KnowledgeBase::Create(
+        s.t, op, RevisionStrategy::kDelayed, s.vocabulary.get());
+    if (!delayed.ok()) {
+      return std::string(op->name()) +
+             ": Create failed: " + delayed.status().ToString();
+    }
+    // A copy that is not queried until both updates are pending.
+    KnowledgeBase unasked = *delayed;
+    std::vector<Formula> updates;
+    ModelSet want;
+    for (const auto& [step, update] : steps) {
+      const std::string name =
+          std::string(op->name()) + " delayed after " + step;
+      delayed->Revise(update);
+      unasked.Revise(update);
+      updates.push_back(update);
+      want = IteratedReviseModels(*op, s.t, updates,
+                                  delayed->CurrentAlphabet());
+      const Formula dnf = CanonicalDnf(want);
+      for (const auto& [query_name, query] : queries) {
+        if (delayed->Ask(query) != Entails(dnf, query)) {
+          return name + ": Ask(" + query_name +
+                 ") differs from SAT entailment on IteratedReviseModels";
+        }
+      }
+      const ModelSet got = delayed->Models();
+      if (!(got == want)) {
+        return name + ": Models() differs from IteratedReviseModels (" +
+               SetSizes(got, want) + ")";
+      }
+    }
+    const ModelSet got = unasked.Models();
+    if (!(got == want)) {
+      return std::string(op->name()) +
+             " delayed, first queried after Q: Models() differs from "
+             "IteratedReviseModels (" +
+             SetSizes(got, want) + ")";
     }
   }
   return std::nullopt;
@@ -837,7 +879,8 @@ const std::vector<Oracle> kOracles = {
      "EntailedByModels vs SAT entailment on the canonical DNF",
      EntailmentOracle},
     {"explicit-fold",
-     "explicit KB revised by P then Q: memo and Ask vs the folded formula",
+     "explicit and delayed KB revised by P then Q: memo and Ask vs the "
+     "folded formula and the from-scratch iterated revision",
      ExplicitFoldOracle},
     {"compact-ask",
      "compact KB revised by P then Q: Ask on the solver, the memo and a "

@@ -28,12 +28,16 @@
 //                         DNF, for the empty set and each model-based
 //                         operator's revision, on Q, Q | y, Q & y and
 //                         Q <-> y with y a fresh letter.
-//   explicit-fold         an explicit KnowledgeBase revised by P then Q
-//                         under each of the nine operators: Models() vs
-//                         a truth table of folded(), Ask vs SAT
-//                         entailment on folded() (Q, !Q, P, Q | y with y
-//                         fresh), and for the model-based operators
-//                         folded() vs the operator's ReviseFormula chain.
+//   explicit-fold         an explicit and a delayed KnowledgeBase revised
+//                         by P then Q under each of the nine operators.
+//                         Explicit: Models() vs a truth table of
+//                         folded(), Ask vs SAT entailment on folded() (Q,
+//                         !Q, P, Q | y with y fresh), and for the
+//                         model-based operators folded() vs the
+//                         operator's ReviseFormula chain.  Delayed, with
+//                         Ask between P and Q: Ask and Models() vs the
+//                         from-scratch IteratedReviseModels, and Models()
+//                         of a copy first queried after Q.
 //   compact-ask           a compact KnowledgeBase revised by P then Q
 //                         under each of the seven compact operators: Ask
 //                         (Q, !Q, Q, P, Q | y) on the KB's incremental

@@ -220,19 +220,7 @@ size_t Formula::DagSize() const {
 }
 
 std::vector<Var> Formula::Vars() const {
-  std::unordered_set<const void*> seen;
-  std::unordered_set<Var> vars;
-  std::vector<const Formula*> stack = {this};
-  while (!stack.empty()) {
-    const Formula* f = stack.back();
-    stack.pop_back();
-    if (!seen.insert(f->id()).second) continue;
-    if (f->kind() == Connective::kVar) vars.insert(f->var());
-    for (size_t i = 0; i < f->arity(); ++i) stack.push_back(&f->child(i));
-  }
-  std::vector<Var> result(vars.begin(), vars.end());
-  std::sort(result.begin(), result.end());
-  return result;
+  return UnionOfVars(std::span<const Formula>(this, 1));
 }
 
 bool Formula::StructurallyEqual(const Formula& other) const {
@@ -300,9 +288,25 @@ Formula DisjoinAll(const std::vector<Formula>& fs) {
 }
 
 std::vector<Var> UnionOfVars(std::span<const Formula> fs) {
+  // One walk over the shared DAG of all roots.  A node whose written-out
+  // tree is large is expanded once however many roots or parents reach
+  // it, since sharing can make the tree exponentially larger than the
+  // DAG.  Smaller subtrees are walked as trees each time they are reached
+  // (at most kSmallTree steps per parent edge), which skips a hash insert
+  // per node.
+  constexpr uint64_t kSmallTree = 64;
+  std::unordered_set<const void*> expanded;
   std::unordered_set<Var> vars;
-  for (const Formula& f : fs) {
-    for (Var v : f.Vars()) vars.insert(v);
+  std::vector<const Formula*> stack;
+  for (const Formula& f : fs) stack.push_back(&f);
+  while (!stack.empty()) {
+    const Formula* f = stack.back();
+    stack.pop_back();
+    if (f->kind() == Connective::kVar) vars.insert(f->var());
+    if (f->TreeSize() > kSmallTree && !expanded.insert(f->id()).second) {
+      continue;
+    }
+    for (size_t i = 0; i < f->arity(); ++i) stack.push_back(&f->child(i));
   }
   std::vector<Var> result(vars.begin(), vars.end());
   std::sort(result.begin(), result.end());

@@ -5,7 +5,6 @@
 
 #include "kernel/kernels.h"
 #include "logic/evaluate.h"
-#include "revision/model_based.h"
 #include "solve/services.h"
 #include "util/check.h"
 
@@ -170,26 +169,9 @@ ModelSet ReviseModelsAuto(OperatorId id, const ModelSet& mt,
   if (p.Vars().size() <= 16) {
     return ReviseSetByFormula(id, mt, p);
   }
-  return [&] {
-    const ModelSet mp = EnumerateModels(p, alphabet);
-    switch (id) {
-      case OperatorId::kWinslett:
-        return WinslettModels(mt, mp);
-      case OperatorId::kBorgida:
-        return BorgidaModels(mt, mp);
-      case OperatorId::kForbus:
-        return ForbusModels(mt, mp);
-      case OperatorId::kSatoh:
-        return SatohModels(mt, mp);
-      case OperatorId::kDalal:
-        return DalalModels(mt, mp);
-      case OperatorId::kWeber:
-        return WeberModels(mt, mp);
-      default:
-        REVISE_CHECK(false);
-        return ModelSet();
-    }
-  }();
+  const auto* op = dynamic_cast<const ModelBasedOperator*>(OperatorById(id));
+  REVISE_CHECK(op != nullptr);  // not a model-based operator
+  return op->ReviseModelSets(mt, EnumerateModels(p, alphabet));
 }
 
 }  // namespace revise

@@ -1,6 +1,5 @@
 #include "revision/iterated.h"
 
-#include "model/canonical.h"
 #include "revision/candidates.h"
 #include "revision/formula_based.h"
 #include "solve/services.h"
@@ -9,71 +8,34 @@ namespace revise {
 
 Alphabet IteratedAlphabet(const Theory& t,
                           const std::vector<Formula>& updates) {
-  std::vector<Var> vars = t.Vars();
-  for (const Formula& p : updates) {
-    for (const Var v : p.Vars()) vars.push_back(v);
-  }
-  return Alphabet(std::move(vars));
+  std::vector<Formula> roots = t.formulas();
+  roots.insert(roots.end(), updates.begin(), updates.end());
+  return Alphabet(UnionOfVars(roots));
 }
 
 ModelSet IteratedReviseModels(const RevisionOperator& op, const Theory& t,
                               const std::vector<Formula>& updates,
                               const Alphabet& alphabet) {
-  if (dynamic_cast<const ModelBasedOperator*>(&op) != nullptr) {
-    ModelSet current = EnumerateModels(t.AsFormula(), alphabet);
-    for (const Formula& p : updates) {
-      current = ReviseModelsAuto(op.id(), current, p, alphabet);
-    }
-    return current;
+  if (op.is_formula_based()) {
+    return EnumerateModels(IteratedReviseTheory(op, t, updates).AsFormula(),
+                           alphabet);
   }
-  if (op.id() == OperatorId::kWidtio) {
-    // WIDTIO's result is itself a theory; iterating must preserve that
-    // structure (revising the conjunction instead would be a different,
-    // much more drastic operator).
-    Theory current = t;
-    for (const Formula& p : updates) {
-      current = WidtioTheory(current, p);
-    }
-    return EnumerateModels(current.AsFormula(), alphabet);
-  }
-  // Other formula-based operators: re-wrap each intermediate explicit
-  // formula as a singleton theory (the standard convention).
-  Theory current = t;
+  ModelSet current = EnumerateModels(t.AsFormula(), alphabet);
   for (const Formula& p : updates) {
-    current = Theory({op.ReviseFormula(current, p)});
+    current = ReviseModelsAuto(op.id(), current, p, alphabet);
   }
-  return EnumerateModels(current.AsFormula(), alphabet);
+  return current;
 }
 
-std::vector<Formula> IteratedReviseFormulas(
-    const RevisionOperator& op, const Theory& t,
-    const std::vector<Formula>& updates) {
-  std::vector<Formula> steps;
-  steps.reserve(updates.size());
-  if (dynamic_cast<const ModelBasedOperator*>(&op) != nullptr) {
-    const Alphabet alphabet = IteratedAlphabet(t, updates);
-    ModelSet current = EnumerateModels(t.AsFormula(), alphabet);
-    for (const Formula& p : updates) {
-      current = ReviseModelsAuto(op.id(), current, p, alphabet);
-      steps.push_back(CanonicalDnf(current));
-    }
-    return steps;
-  }
-  if (op.id() == OperatorId::kWidtio) {
-    Theory current = t;
-    for (const Formula& p : updates) {
-      current = WidtioTheory(current, p);
-      steps.push_back(current.AsFormula());
-    }
-    return steps;
-  }
+Theory IteratedReviseTheory(const RevisionOperator& op, const Theory& t,
+                            const std::vector<Formula>& updates) {
   Theory current = t;
   for (const Formula& p : updates) {
-    const Formula revised = op.ReviseFormula(current, p);
-    steps.push_back(revised);
-    current = Theory({revised});
+    current = op.id() == OperatorId::kWidtio
+                  ? WidtioTheory(current, p)
+                  : Theory({op.ReviseFormula(current, p)});
   }
-  return steps;
+  return current;
 }
 
 }  // namespace revise

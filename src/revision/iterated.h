@@ -1,13 +1,10 @@
 // Iterated belief revision (Section 2.2.3): T * P^1 * ... * P^m with a
-// left-associative operator.
+// left-associative operator, computed from scratch.
 //
-// Two computational strategies from the paper:
-//   * incorporate-eagerly: fold each revision into an explicit
-//     representation one by one (sizes can explode; Tables 1-2);
-//   * delayed incorporation: store T and the whole sequence P^1..P^m and
-//     compute on demand (the strategy the paper recommends in Section 8).
-// Both produce the same model sets; the benches compare representation
-// sizes along the way.
+// This is the reference the incremental strategies are checked against:
+// KnowledgeBase (core/knowledge_base.h) folds one update at a time into a
+// model-set memo (model-based operators) or an explicit formula, and
+// tests, benches and the fuzzer compare what it holds with these.
 
 #ifndef REVISE_REVISION_ITERATED_H_
 #define REVISE_REVISION_ITERATED_H_
@@ -20,18 +17,18 @@ namespace revise {
 
 // Models of T * P^1 * ... * P^m over `alphabet` (must contain all letters
 // involved).  Model-based operators iterate on model sets; formula-based
-// operators re-wrap each intermediate result as a singleton theory, which
-// is the standard convention for iterating them.
+// operators iterate on IteratedReviseTheory.
 ModelSet IteratedReviseModels(const RevisionOperator& op, const Theory& t,
                               const std::vector<Formula>& updates,
                               const Alphabet& alphabet);
 
-// The eager strategy, additionally reporting the explicit formula after
-// every step (for size measurements).  result[i] is the formula after
-// incorporating P^1..P^{i+1}.
-std::vector<Formula> IteratedReviseFormulas(
-    const RevisionOperator& op, const Theory& t,
-    const std::vector<Formula>& updates);
+// The theory a formula-based operator's iteration ends in.  WIDTIO's
+// result is itself a theory, and iterating keeps that structure (revising
+// the conjunction instead would be a different, much more drastic
+// operator); the others re-wrap each intermediate formula as a singleton
+// theory, the standard convention for iterating them.
+Theory IteratedReviseTheory(const RevisionOperator& op, const Theory& t,
+                            const std::vector<Formula>& updates);
 
 // The alphabet V(T) ∪ V(P^1) ∪ ... ∪ V(P^m).
 Alphabet IteratedAlphabet(const Theory& t,

@@ -314,9 +314,35 @@ TEST(KbArtifactTest, LoadedModelsMemoSkipsRecomputation) {
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   ModelCache::Global().Clear();
   EXPECT_TRUE(loaded->Models() == direct);
-  // A further revision invalidates the memo and recomputes.
+  // A further revision is folded into the loaded memo.
   loaded->Revise(ParseOrDie("a | b", &fresh));
   EXPECT_EQ(loaded->Models().size(), 1u);
+}
+
+TEST(KbArtifactTest, RejectsAModelSetOverTheWrongLetters) {
+  // A well-formed image whose model set is over {a} while the KB's
+  // letters are {a, b}: adopted as the memo it would answer Ask(b) from a
+  // set that says nothing about b.
+  Vocabulary vocabulary;
+  const Theory t = Theory::ParseOrDie("a & b", &vocabulary);
+  KbImage image;
+  image.operator_id = OperatorId::kDalal;
+  image.strategy = kStrategyDelayed;
+  image.initial = t;
+  image.folded = t.AsFormula();
+  image.folded_theory = t;
+  Interpretation a_true(1);
+  a_true.Set(0, true);
+  image.models =
+      ModelSet(Alphabet({vocabulary.Find("a")}), {std::move(a_true)});
+  const std::filesystem::path path = TempPath("kb_wrong_letters");
+  ASSERT_TRUE(WriteKbArtifact(image, vocabulary, path.string()).ok());
+  Vocabulary fresh;
+  StatusOr<KnowledgeBase> loaded =
+      LoadKnowledgeBaseArtifact(path.string(), &fresh);
+  std::filesystem::remove(path);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(KbArtifactTest, StructuralDedupSharesRepeatedSubtrees) {
