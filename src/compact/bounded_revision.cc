@@ -2,6 +2,7 @@
 
 #include <bit>
 
+#include "compact/degenerate.h"
 #include "logic/substitute.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -23,17 +24,9 @@ std::vector<Var> SubsetByMask(const std::vector<Var>& vars, uint64_t mask) {
   return subset;
 }
 
-// Shared degenerate handling per the operator conventions.
-bool HandleDegenerate(const Formula& t, const Formula& p, Formula* out) {
-  if (!IsSatisfiable(p)) {
-    *out = Formula::False();
-    return true;
-  }
-  if (!IsSatisfiable(t)) {
-    *out = p;
-    return true;
-  }
-  return false;
+// The degenerate-case conventions, checking both operands.
+std::optional<Formula> Degenerate(const Formula& t, const Formula& p) {
+  return DegenerateResult(t, p, std::nullopt, PriorCheck::kSolve);
 }
 
 // Builds P ∧ ∨_S (T[S/¬S] ∧ ¬ ∨_{C in guard(S)} P[C/¬C]) where guard(S)
@@ -41,8 +34,7 @@ bool HandleDegenerate(const Formula& t, const Formula& p, Formula* out) {
 template <typename GuardPredicate>
 Formula PointwiseBounded(const Formula& t, const Formula& p,
                          GuardPredicate&& strictly_better) {
-  Formula degenerate;
-  if (HandleDegenerate(t, p, &degenerate)) return degenerate;
+  if (auto degenerate = Degenerate(t, p)) return *degenerate;
   const std::vector<Var> vp = p.Vars();
   REVISE_CHECK_LE(vp.size(), 16u);
   const uint64_t subsets = uint64_t{1} << vp.size();
@@ -89,8 +81,7 @@ Formula ForbusBounded(const Formula& t, const Formula& p) {
 
 Formula SatohBounded(const Formula& t, const Formula& p) {
   obs::ProfileScope profile("compact.SatohBounded");
-  Formula degenerate;
-  if (HandleDegenerate(t, p, &degenerate)) return degenerate;
+  if (auto degenerate = Degenerate(t, p)) return *degenerate;
   const Alphabet alphabet(UnionOfVars(std::vector<Formula>{t, p}));
   std::vector<Formula> disjuncts;
   for (const Interpretation& diff : GlobalMinimalDiffs(t, p, alphabet)) {
@@ -105,8 +96,7 @@ Formula SatohBounded(const Formula& t, const Formula& p) {
 
 Formula DalalBounded(const Formula& t, const Formula& p) {
   obs::ProfileScope profile("compact.DalalBounded");
-  Formula degenerate;
-  if (HandleDegenerate(t, p, &degenerate)) return degenerate;
+  if (auto degenerate = Degenerate(t, p)) return *degenerate;
   const Alphabet alphabet(UnionOfVars(std::vector<Formula>{t, p}));
   const size_t k = *MinHammingDistance(t, p, alphabet);
   const std::vector<Var> vp = p.Vars();
@@ -121,8 +111,7 @@ Formula DalalBounded(const Formula& t, const Formula& p) {
 
 Formula WeberBounded(const Formula& t, const Formula& p) {
   obs::ProfileScope profile("compact.WeberBounded");
-  Formula degenerate;
-  if (HandleDegenerate(t, p, &degenerate)) return degenerate;
+  if (auto degenerate = Degenerate(t, p)) return *degenerate;
   const Alphabet alphabet(UnionOfVars(std::vector<Formula>{t, p}));
   const Interpretation omega = WeberOmega(t, p, alphabet);
   std::vector<Var> omega_vars;
@@ -139,8 +128,7 @@ Formula WeberBounded(const Formula& t, const Formula& p) {
 
 Formula BorgidaBounded(const Formula& t, const Formula& p) {
   obs::ProfileScope profile("compact.BorgidaBounded");
-  Formula degenerate;
-  if (HandleDegenerate(t, p, &degenerate)) return degenerate;
+  if (auto degenerate = Degenerate(t, p)) return *degenerate;
   const Formula both = Formula::And(t, p);
   if (IsSatisfiable(both)) return RecordCompactSize(both);
   // Fallback delegates to WinslettBounded, which records its own size.

@@ -3,6 +3,7 @@
 #include <unordered_map>
 
 #include "compact/circuits.h"
+#include "compact/degenerate.h"
 #include "logic/substitute.h"
 #include "obs/trace.h"
 #include "obs/profile.h"
@@ -13,20 +14,6 @@
 namespace revise {
 
 namespace {
-
-// Degenerate-case conventions shared by every step: an unsatisfiable P
-// empties the knowledge base; an unsatisfiable prior is revised to P.
-bool HandleDegenerate(const Formula& prior, const Formula& p, Formula* out) {
-  if (!IsSatisfiable(p)) {
-    *out = Formula::False();
-    return true;
-  }
-  if (!IsSatisfiable(prior)) {
-    *out = p;
-    return true;
-  }
-  return false;
-}
 
 // The paper's F_C(S1, S2, S3, S4) = /\_j ((s1_j != s2_j) -> (s3_j != s4_j)),
 // i.e. diff(S1,S2) ⊆ diff(S3,S4).  Blocks are parallel vectors of
@@ -78,11 +65,20 @@ Formula RestrictToMask(const Formula& p, const std::vector<Var>& vp,
 
 Formula DalalCompactStep(const Formula& prior, const Formula& p,
                          const std::vector<Var>& x, Vocabulary* vocabulary) {
+  return DalalCompactStep(prior, p, x, vocabulary, std::nullopt);
+}
+
+Formula DalalCompactStep(const Formula& prior, const Formula& p,
+                         const std::vector<Var>& x, Vocabulary* vocabulary,
+                         std::optional<bool> prior_satisfiable) {
   obs::ProfileScope profile("compact.DalalStep");
-  Formula degenerate;
-  if (HandleDegenerate(prior, p, &degenerate)) return degenerate;
+  if (auto degenerate = DegenerateResult(prior, p, prior_satisfiable,
+                                         PriorCheck::kDeferred)) {
+    return *degenerate;
+  }
   const Alphabet alphabet(x);
   const auto k = MinHammingDistance(prior, p, alphabet);
+  if (!k.has_value()) return p;  // P is satisfiable, so the prior is not
   const std::vector<Var> y = vocabulary->FreshBlock("y", x.size());
   return Formula::And(
       {RenameVars(prior, x, y), p, ExaFormula(*k, y, x, vocabulary)});
@@ -104,11 +100,25 @@ std::vector<Formula> DalalCompactIterated(const Formula& t,
 
 Formula WeberCompactStep(const Formula& prior, const Formula& p,
                          const std::vector<Var>& x, Vocabulary* vocabulary) {
+  return WeberCompactStep(prior, p, x, vocabulary, std::nullopt);
+}
+
+Formula WeberCompactStep(const Formula& prior, const Formula& p,
+                         const std::vector<Var>& x, Vocabulary* vocabulary,
+                         std::optional<bool> prior_satisfiable) {
   obs::ProfileScope profile("compact.WeberStep");
-  Formula degenerate;
-  if (HandleDegenerate(prior, p, &degenerate)) return degenerate;
+  if (auto degenerate = DegenerateResult(prior, p, prior_satisfiable,
+                                         PriorCheck::kDeferred)) {
+    return *degenerate;
+  }
   const Alphabet alphabet(x);
-  const Interpretation omega = WeberOmega(prior, p, alphabet);
+  // Omega = ∪ delta(prior, P), as WeberOmega computes it; an empty delta
+  // means the prior is unsatisfiable, P being satisfiable.
+  const std::vector<Interpretation> delta =
+      GlobalMinimalDiffs(prior, p, alphabet);
+  if (delta.empty()) return p;
+  Interpretation omega(alphabet.size());
+  for (const Interpretation& diff : delta) omega = omega.Union(diff);
   std::vector<Var> omega_vars;
   for (size_t i = 0; i < alphabet.size(); ++i) {
     if (omega.Get(i)) omega_vars.push_back(alphabet.var(i));
@@ -133,9 +143,17 @@ std::vector<Formula> WeberCompactIterated(const Formula& t,
 
 Formula WinslettCompactStep(const Formula& prior, const Formula& p,
                             Vocabulary* vocabulary) {
+  return WinslettCompactStep(prior, p, vocabulary, std::nullopt);
+}
+
+Formula WinslettCompactStep(const Formula& prior, const Formula& p,
+                            Vocabulary* vocabulary,
+                            std::optional<bool> prior_satisfiable) {
   obs::ProfileScope profile("compact.WinslettStep");
-  Formula degenerate;
-  if (HandleDegenerate(prior, p, &degenerate)) return degenerate;
+  if (auto degenerate = DegenerateResult(prior, p, prior_satisfiable,
+                                         PriorCheck::kSolve)) {
+    return *degenerate;
+  }
   const std::vector<Var> vp = p.Vars();
   REVISE_CHECK_LE(vp.size(), 16u);
   const std::vector<Var> y = vocabulary->FreshBlock("Y", vp.size());
@@ -159,16 +177,30 @@ Formula WinslettCompactStep(const Formula& prior, const Formula& p,
 
 Formula BorgidaCompactStep(const Formula& prior, const Formula& p,
                            Vocabulary* vocabulary) {
+  return BorgidaCompactStep(prior, p, vocabulary, std::nullopt);
+}
+
+Formula BorgidaCompactStep(const Formula& prior, const Formula& p,
+                           Vocabulary* vocabulary,
+                           std::optional<bool> prior_satisfiable) {
   obs::ProfileScope profile("compact.BorgidaStep");
-  Formula degenerate;
-  if (HandleDegenerate(prior, p, &degenerate)) return degenerate;
+  if (auto degenerate = DegenerateResult(prior, p, prior_satisfiable,
+                                         PriorCheck::kSolve)) {
+    return *degenerate;
+  }
   const Formula both = Formula::And(prior, p);
   if (IsSatisfiable(both)) return both;
-  return WinslettCompactStep(prior, p, vocabulary);
+  return WinslettCompactStep(prior, p, vocabulary, /*prior_satisfiable=*/true);
 }
 
 Formula SatohCompactStep(const Formula& prior, const Formula& p,
                          Vocabulary* vocabulary) {
+  return SatohCompactStep(prior, p, vocabulary, std::nullopt);
+}
+
+Formula SatohCompactStep(const Formula& prior, const Formula& p,
+                         Vocabulary* vocabulary,
+                         std::optional<bool> prior_satisfiable) {
   obs::ProfileScope profile("compact.SatohStep");
   // The measure-based realization of formula (13): the measure of minimal
   // distance for Satoh is delta(T,P) itself (Section 4.3's summary).  We
@@ -176,13 +208,16 @@ Formula SatohCompactStep(const Formula& prior, const Formula& p,
   // one of its members; the per-step growth is |prior| + |P| + O(2^k * k)
   // instead of the multiplicative blow-up a verbatim expansion of (13)'s
   // T[V(P)/W] antecedent would cause.
-  Formula degenerate;
-  if (HandleDegenerate(prior, p, &degenerate)) return degenerate;
-  const std::vector<Var> vp = p.Vars();
-  REVISE_CHECK_LE(vp.size(), 16u);
+  if (auto degenerate = DegenerateResult(prior, p, prior_satisfiable,
+                                         PriorCheck::kDeferred)) {
+    return *degenerate;
+  }
   const Alphabet full(UnionOfVars(std::vector<Formula>{prior, p}));
   const std::vector<Interpretation> delta =
       GlobalMinimalDiffs(prior, p, full);
+  if (delta.empty()) return p;  // P is satisfiable, so the prior is not
+  const std::vector<Var> vp = p.Vars();
+  REVISE_CHECK_LE(vp.size(), 16u);
   const std::vector<Var> y = vocabulary->FreshBlock("Y", vp.size());
 
   // diff(V(P), Y) == D, for each minimal diff D (all D are within V(P)).
@@ -217,12 +252,20 @@ Formula SatohCompactStep(const Formula& prior, const Formula& p,
 
 Formula ForbusCompactStep(const Formula& prior, const Formula& p,
                           Vocabulary* vocabulary) {
+  return ForbusCompactStep(prior, p, vocabulary, std::nullopt);
+}
+
+Formula ForbusCompactStep(const Formula& prior, const Formula& p,
+                          Vocabulary* vocabulary,
+                          std::optional<bool> prior_satisfiable) {
   obs::ProfileScope profile("compact.ForbusStep");
   // Formula (14): prior[V(P)/Y] ∧ P ∧ ∀Z.(F_P(Z) ->
   //   !(DIST(Z,Y) < DIST(V(P),Y))), with the DIST comparison realized by
   // unary counter circuits whose gate letters are functionally determined.
-  Formula degenerate;
-  if (HandleDegenerate(prior, p, &degenerate)) return degenerate;
+  if (auto degenerate = DegenerateResult(prior, p, prior_satisfiable,
+                                         PriorCheck::kSolve)) {
+    return *degenerate;
+  }
   const std::vector<Var> vp = p.Vars();
   REVISE_CHECK_LE(vp.size(), 16u);
   const std::vector<Var> y = vocabulary->FreshBlock("Y", vp.size());

@@ -17,10 +17,19 @@
 // Theorem 6.3 prescribes.  Assignments falsifying F_P(Z) simplify away
 // during construction, so the per-step growth is linear in the number of
 // models of P^i over V(P^i).
+//
+// Degenerate cases: an unsatisfiable P gives False, an unsatisfiable
+// prior gives P.  Every step has an overload taking `prior_satisfiable`,
+// what the caller already knows of the prior's satisfiability.  A value
+// stands in for the step's SAT check of the prior, which debug builds
+// still run to verify it; nullopt is the plain overload.  Dalal, Weber
+// and Satoh never run that check: their distance solve over prior and P
+// finds no pair of models exactly when the prior is unsatisfiable.
 
 #ifndef REVISE_COMPACT_ITERATED_REVISION_H_
 #define REVISE_COMPACT_ITERATED_REVISION_H_
 
+#include <optional>
 #include <vector>
 
 #include "logic/formula.h"
@@ -34,6 +43,10 @@ namespace revise {
 [[nodiscard]] Formula DalalCompactStep(const Formula& prior, const Formula& p,
                                        const std::vector<Var>& x,
                                        Vocabulary* vocabulary);
+[[nodiscard]] Formula DalalCompactStep(const Formula& prior, const Formula& p,
+                                       const std::vector<Var>& x,
+                                       Vocabulary* vocabulary,
+                                       std::optional<bool> prior_satisfiable);
 
 // Phi_m for the whole sequence.  Returns the per-step formulas
 // (result[i] represents T *_D P^1 ... *_D P^{i+1}).
@@ -45,6 +58,10 @@ namespace revise {
 [[nodiscard]] Formula WeberCompactStep(const Formula& prior, const Formula& p,
                                        const std::vector<Var>& x,
                                        Vocabulary* vocabulary);
+[[nodiscard]] Formula WeberCompactStep(const Formula& prior, const Formula& p,
+                                       const std::vector<Var>& x,
+                                       Vocabulary* vocabulary,
+                                       std::optional<bool> prior_satisfiable);
 [[nodiscard]] std::vector<Formula> WeberCompactIterated(
     const Formula& t, const std::vector<Formula>& updates,
     const std::vector<Var>& x, Vocabulary* vocabulary);
@@ -55,17 +72,29 @@ namespace revise {
 [[nodiscard]] Formula WinslettCompactStep(const Formula& prior,
                                           const Formula& p,
                                           Vocabulary* vocabulary);
+[[nodiscard]] Formula WinslettCompactStep(
+    const Formula& prior, const Formula& p, Vocabulary* vocabulary,
+    std::optional<bool> prior_satisfiable);
 // Borgida: prior ∧ p when consistent, else the Winslett step.
 [[nodiscard]] Formula BorgidaCompactStep(const Formula& prior,
                                          const Formula& p,
                                          Vocabulary* vocabulary);
+[[nodiscard]] Formula BorgidaCompactStep(
+    const Formula& prior, const Formula& p, Vocabulary* vocabulary,
+    std::optional<bool> prior_satisfiable);
 // Satoh: formula (13).
 [[nodiscard]] Formula SatohCompactStep(const Formula& prior, const Formula& p,
                                        Vocabulary* vocabulary);
+[[nodiscard]] Formula SatohCompactStep(const Formula& prior, const Formula& p,
+                                       Vocabulary* vocabulary,
+                                       std::optional<bool> prior_satisfiable);
 // Forbus: formula (14), with the DIST comparison realized by unary
 // counter circuits.
 [[nodiscard]] Formula ForbusCompactStep(const Formula& prior, const Formula& p,
                                         Vocabulary* vocabulary);
+[[nodiscard]] Formula ForbusCompactStep(
+    const Formula& prior, const Formula& p, Vocabulary* vocabulary,
+    std::optional<bool> prior_satisfiable);
 
 // Iterates any of the step functions over a sequence of updates,
 // returning the per-step formulas.

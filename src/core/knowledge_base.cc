@@ -82,7 +82,21 @@ StatusOr<KnowledgeBase> KnowledgeBase::FromSnapshot(
   return kb;
 }
 
+std::optional<bool> KnowledgeBase::KnownSatisfiable() const {
+  if (models_memo_.has_value()) return !models_memo_->empty();
+  // R3 and the convention that an unsatisfiable prior is revised to P:
+  // a compact step's result is satisfiable iff its update is.
+  if (!updates_.empty()) return IsSatisfiable(updates_.back());
+  return std::nullopt;
+}
+
 void KnowledgeBase::Revise(const Formula& p) {
+  // Read before p lands.  WIDTIO folds without a satisfiability check.
+  const std::optional<bool> prior_satisfiable =
+      strategy_ == RevisionStrategy::kCompact &&
+              op_->id() != OperatorId::kWidtio
+          ? KnownSatisfiable()
+          : std::nullopt;
   updates_.push_back(p);
   solver_.reset();
   if (model_fold_ != nullptr) {
@@ -122,23 +136,27 @@ void KnowledgeBase::Revise(const Formula& p) {
       switch (op_->id()) {
         case OperatorId::kDalal:
           folded_ = DalalCompactStep(folded_, p, CurrentAlphabet().vars(),
-                                     vocabulary_);
+                                     vocabulary_, prior_satisfiable);
           return;
         case OperatorId::kWeber:
           folded_ = WeberCompactStep(folded_, p, CurrentAlphabet().vars(),
-                                     vocabulary_);
+                                     vocabulary_, prior_satisfiable);
           return;
         case OperatorId::kWinslett:
-          folded_ = WinslettCompactStep(folded_, p, vocabulary_);
+          folded_ = WinslettCompactStep(folded_, p, vocabulary_,
+                                        prior_satisfiable);
           return;
         case OperatorId::kBorgida:
-          folded_ = BorgidaCompactStep(folded_, p, vocabulary_);
+          folded_ = BorgidaCompactStep(folded_, p, vocabulary_,
+                                       prior_satisfiable);
           return;
         case OperatorId::kSatoh:
-          folded_ = SatohCompactStep(folded_, p, vocabulary_);
+          folded_ = SatohCompactStep(folded_, p, vocabulary_,
+                                     prior_satisfiable);
           return;
         case OperatorId::kForbus:
-          folded_ = ForbusCompactStep(folded_, p, vocabulary_);
+          folded_ = ForbusCompactStep(folded_, p, vocabulary_,
+                                      prior_satisfiable);
           return;
         case OperatorId::kWidtio:
           folded_theory_ = WidtioTheory(folded_theory_, p);

@@ -30,6 +30,10 @@
 //                entailment, on one incremental solver per KB state that
 //                encodes the formula once; after Models(), IsModel or a
 //                cold start from .rkb they are answered on the memo.
+//                After the first update, Revise never SAT-checks the
+//                growing formula itself: by R3 it is satisfiable iff the
+//                last update is, and a memo answers outright
+//                (KnownSatisfiable).
 //
 // Query letters.  Ask is defined for queries whose letters are the KB's
 // (CurrentAlphabet()) or foreign to it; foreign letters are unconstrained.
@@ -140,6 +144,11 @@ class KnowledgeBase {
   const ModelSet& MemoizedModels() const;
   // The solver over folded_, built on first use.
   EntailmentSolver& Solver() const;
+  // Under kCompact, whether folded_ is satisfiable, without a SAT call on
+  // it: a memo is non-empty exactly then, and otherwise (R3) the last
+  // update decides.  Nullopt before the first update: the step checks
+  // the initial theory itself.
+  std::optional<bool> KnownSatisfiable() const;
 
   const RevisionOperator* op_;
   // op_ when it is model-based and the strategy is kDelayed or kExplicit:

@@ -7,20 +7,31 @@
 
 namespace revise {
 
-Alphabet::Alphabet(std::vector<Var> vars) : vars_(std::move(vars)) {
-  std::sort(vars_.begin(), vars_.end());
-  vars_.erase(std::unique(vars_.begin(), vars_.end()), vars_.end());
+Alphabet::Alphabet(std::vector<Var> vars) {
+  std::sort(vars.begin(), vars.end());
+  vars.erase(std::unique(vars.begin(), vars.end()), vars.end());
+  if (!vars.empty()) {
+    vars_ = std::make_shared<const std::vector<Var>>(std::move(vars));
+  }
+}
+
+const std::vector<Var>& Alphabet::vars() const {
+  static const std::vector<Var> kEmpty;
+  return vars_ ? *vars_ : kEmpty;
 }
 
 std::optional<size_t> Alphabet::IndexOf(Var var) const {
-  auto it = std::lower_bound(vars_.begin(), vars_.end(), var);
-  if (it == vars_.end() || *it != var) return std::nullopt;
-  return static_cast<size_t>(it - vars_.begin());
+  const std::vector<Var>& sorted = vars();
+  auto it = std::lower_bound(sorted.begin(), sorted.end(), var);
+  if (it == sorted.end() || *it != var) return std::nullopt;
+  return static_cast<size_t>(it - sorted.begin());
 }
 
 Alphabet Alphabet::Union(const Alphabet& a, const Alphabet& b) {
-  std::vector<Var> merged = a.vars_;
-  merged.insert(merged.end(), b.vars_.begin(), b.vars_.end());
+  if (a == b || b.size() == 0) return a;
+  if (a.size() == 0) return b;
+  std::vector<Var> merged = a.vars();
+  merged.insert(merged.end(), b.vars().begin(), b.vars().end());
   return Alphabet(std::move(merged));
 }
 

@@ -14,6 +14,7 @@
 #define REVISE_LOGIC_INTERPRETATION_H_
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -23,16 +24,18 @@
 namespace revise {
 
 // An immutable, sorted, duplicate-free set of variables: the alphabet over
-// which interpretations are defined.
+// which interpretations are defined.  Copies share the sorted vector, so
+// copying an alphabet (and a ModelSet, which carries one) allocates
+// nothing, and comparing two copies is a pointer test.
 class Alphabet {
  public:
   Alphabet() = default;
   // Sorts and removes duplicates.
   explicit Alphabet(std::vector<Var> vars);
 
-  size_t size() const { return vars_.size(); }
-  Var var(size_t index) const { return vars_[index]; }
-  const std::vector<Var>& vars() const { return vars_; }
+  size_t size() const { return vars_ ? vars_->size() : 0; }
+  Var var(size_t index) const { return (*vars_)[index]; }
+  const std::vector<Var>& vars() const;
 
   // Position of `var` within the alphabet, or nullopt if absent.
   std::optional<size_t> IndexOf(Var var) const;
@@ -42,11 +45,11 @@ class Alphabet {
   static Alphabet Union(const Alphabet& a, const Alphabet& b);
 
   bool operator==(const Alphabet& other) const {
-    return vars_ == other.vars_;
+    return vars_ == other.vars_ || vars() == other.vars();
   }
 
  private:
-  std::vector<Var> vars_;
+  std::shared_ptr<const std::vector<Var>> vars_;  // null when empty
 };
 
 // A truth assignment to the letters of an alphabet, stored positionally:

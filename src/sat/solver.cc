@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <new>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -9,10 +10,16 @@
 
 namespace revise::sat {
 
+// A clause and its literals in one allocation, MiniSat-style: `size`
+// literals follow the header directly, so propagation reaches them
+// without a second indirection.  Problem and learnt clauses share the
+// layout; clauses_ and learnts_ tell them apart.
 struct Solver::Clause {
-  bool learnt;
   double activity = 0.0;
-  std::vector<Lit> lits;
+  uint32_t size = 0;
+
+  Lit* lits() { return reinterpret_cast<Lit*>(this + 1); }
+  Lit& operator[](size_t i) { return lits()[i]; }
 };
 
 namespace {
@@ -24,8 +31,8 @@ constexpr int64_t kRestartBase = 100;
 Solver::Solver() = default;
 
 Solver::~Solver() {
-  for (Clause* c : clauses_) delete c;
-  for (Clause* c : learnts_) delete c;
+  for (Clause* c : clauses_) FreeClause(c);
+  for (Clause* c : learnts_) FreeClause(c);
 }
 
 int Solver::NewVar() {
@@ -55,16 +62,18 @@ LBool Solver::ValueOfLit(Lit lit) const {
   return LitSign(lit) ? NegateLBool(v) : v;
 }
 
-bool Solver::AddClause(std::vector<Lit> lits) {
+bool Solver::AddClause(std::span<const Lit> lits) {
   if (!ok_) return false;
   CancelUntil(0);
   // Normalize: sort, remove duplicates, detect tautologies, drop literals
   // already false at level 0, succeed trivially if already satisfied.
-  std::sort(lits.begin(), lits.end());
-  std::vector<Lit> cleaned;
-  cleaned.reserve(lits.size());
+  // Compacts add_scratch_ in place: `kept` never overtakes the read.
+  std::vector<Lit>& cleaned = add_scratch_;
+  cleaned.assign(lits.begin(), lits.end());
+  std::sort(cleaned.begin(), cleaned.end());
+  size_t kept = 0;
   Lit prev = kUndefLit;
-  for (Lit lit : lits) {
+  for (const Lit lit : cleaned) {
     REVISE_CHECK_GE(lit, 0);
     REVISE_CHECK_LT(LitVar(lit), NumVars());
     if (lit == prev) continue;
@@ -78,9 +87,10 @@ bool Solver::AddClause(std::vector<Lit> lits) {
       prev = lit;
       continue;  // falsified at level 0: drop
     }
-    cleaned.push_back(lit);
+    cleaned[kept++] = lit;
     prev = lit;
   }
+  cleaned.resize(kept);
   if (cleaned.empty()) {
     ok_ = false;
     return false;
@@ -93,31 +103,36 @@ bool Solver::AddClause(std::vector<Lit> lits) {
     }
     return true;
   }
-  Clause* clause = AllocClause(cleaned, /*learnt=*/false);
+  Clause* clause = AllocClause(cleaned);
   clauses_.push_back(clause);
   AttachClause(clause);
   return true;
 }
 
-Solver::Clause* Solver::AllocClause(const std::vector<Lit>& lits,
-                                    bool learnt) {
-  Clause* clause = new Clause;
-  clause->learnt = learnt;
-  clause->lits = lits;
+Solver::Clause* Solver::AllocClause(std::span<const Lit> lits) {
+  static_assert(alignof(Clause) >= alignof(Lit));
+  void* memory = ::operator new(sizeof(Clause) + lits.size() * sizeof(Lit));
+  Clause* clause = new (memory) Clause;
+  clause->size = static_cast<uint32_t>(lits.size());
+  std::copy(lits.begin(), lits.end(), clause->lits());
   return clause;
 }
 
+void Solver::FreeClause(Clause* clause) {
+  clause->~Clause();
+  ::operator delete(clause);
+}
+
 void Solver::AttachClause(Clause* clause) {
-  REVISE_CHECK_GE(clause->lits.size(), 2u);
-  const Lit l0 = clause->lits[0];
-  const Lit l1 = clause->lits[1];
-  watches_[Negate(l0)].push_back({clause, l1});
-  watches_[Negate(l1)].push_back({clause, l0});
+  REVISE_CHECK_GE(clause->size, 2u);
+  Clause& c = *clause;
+  watches_[Negate(c[0])].push_back({clause, c[1]});
+  watches_[Negate(c[1])].push_back({clause, c[0]});
 }
 
 void Solver::DetachClause(Clause* clause) {
   for (int i = 0; i < 2; ++i) {
-    std::vector<Watcher>& ws = watches_[Negate(clause->lits[i])];
+    std::vector<Watcher>& ws = watches_[Negate((*clause)[i])];
     for (size_t j = 0; j < ws.size(); ++j) {
       if (ws[j].clause == clause) {
         ws[j] = ws.back();
@@ -168,7 +183,7 @@ Solver::Clause* Solver::Propagate() {
         continue;
       }
       Clause* clause = ws[i].clause;
-      std::vector<Lit>& lits = clause->lits;
+      Lit* const lits = clause->lits();
       // Normalize so the false watched literal is lits[1].
       const Lit false_lit = Negate(p);
       if (lits[0] == false_lit) std::swap(lits[0], lits[1]);
@@ -181,7 +196,7 @@ Solver::Clause* Solver::Propagate() {
       }
       // Look for a replacement watch.
       bool moved = false;
-      for (size_t k = 2; k < lits.size(); ++k) {
+      for (size_t k = 2; k < clause->size; ++k) {
         if (ValueOfLit(lits[k]) != LBool::kFalse) {
           std::swap(lits[1], lits[k]);
           watches_[Negate(lits[1])].push_back({clause, first});
@@ -224,8 +239,8 @@ void Solver::Analyze(Clause* conflict, std::vector<Lit>* learnt,
     REVISE_CHECK(reason != nullptr);
     reason->activity += kClauseActivityBump;
     // Skip lits[0] when it is the literal we are resolving on.
-    for (size_t k = (p == kUndefLit ? 0 : 1); k < reason->lits.size(); ++k) {
-      const Lit q = reason->lits[k];
+    for (size_t k = (p == kUndefLit ? 0 : 1); k < reason->size; ++k) {
+      const Lit q = (*reason)[k];
       const int var = LitVar(q);
       if (seen_[var] || level_[var] == 0) continue;
       seen_[var] = 1;
@@ -288,14 +303,15 @@ bool Solver::LitRedundant(Lit lit, uint32_t abstract_levels) {
   // literals already present in the learnt clause (marked in seen_).
   analyze_stack_.clear();
   analyze_stack_.push_back(lit);
-  std::vector<Lit> marked;  // marks added during this check
+  std::vector<Lit>& marked = redundant_marked_;  // marks added by this check
+  marked.clear();
   while (!analyze_stack_.empty()) {
     const Lit current = analyze_stack_.back();
     analyze_stack_.pop_back();
     Clause* reason = reason_[LitVar(current)];
     REVISE_CHECK(reason != nullptr);
-    for (size_t k = 1; k < reason->lits.size(); ++k) {
-      const Lit q = reason->lits[k];
+    for (size_t k = 1; k < reason->size; ++k) {
+      const Lit q = (*reason)[k];
       const int var = LitVar(q);
       if (seen_[var] || level_[var] == 0) continue;
       if (reason_[var] == nullptr ||
@@ -402,11 +418,12 @@ void Solver::ReduceDb() {
   size_t kept = 0;
   for (size_t i = 0; i < learnts_.size(); ++i) {
     Clause* clause = learnts_[i];
-    const bool locked = reason_[LitVar(clause->lits[0])] == clause &&
-                        ValueOfLit(clause->lits[0]) == LBool::kTrue;
-    if (i < target && clause->lits.size() > 2 && !locked) {
+    const Lit first = (*clause)[0];
+    const bool locked = reason_[LitVar(first)] == clause &&
+                        ValueOfLit(first) == LBool::kTrue;
+    if (i < target && clause->size > 2 && !locked) {
       DetachClause(clause);
-      delete clause;
+      FreeClause(clause);
       ++stats_.deleted_clauses;
     } else {
       learnts_[kept++] = clause;
@@ -457,18 +474,17 @@ Solver::Result Solver::SolveAssuming(const std::vector<Lit>& assumptions) {
             return -2;
           }
           if (DecisionLevel() == 0) return 0;
-          std::vector<Lit> learnt;
           int backtrack_level = 0;
-          Analyze(conflict, &learnt, &backtrack_level);
+          Analyze(conflict, &learnt_, &backtrack_level);
           CancelUntil(backtrack_level);
-          if (learnt.size() == 1) {
-            UncheckedEnqueue(learnt[0], nullptr);
+          if (learnt_.size() == 1) {
+            UncheckedEnqueue(learnt_[0], nullptr);
           } else {
-            Clause* clause = AllocClause(learnt, /*learnt=*/true);
+            Clause* clause = AllocClause(learnt_);
             learnts_.push_back(clause);
             ++stats_.learned_clauses;
             AttachClause(clause);
-            UncheckedEnqueue(learnt[0], clause);
+            UncheckedEnqueue(learnt_[0], clause);
           }
           VarDecayActivity();
           if (conflicts_left <= 0) return -1;

@@ -15,6 +15,8 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <initializer_list>
+#include <span>
 #include <vector>
 
 #include "sat/literal.h"
@@ -52,8 +54,14 @@ class Solver {
   // unsatisfiable (empty clause at level 0).  May be called between
   // Solve() invocations.  Ignoring the result loses the only cheap signal
   // of top-level UNSAT, so it is [[nodiscard]]; callers that genuinely do
-  // not care re-check Okay() instead.
-  [[nodiscard]] bool AddClause(std::vector<Lit> lits);
+  // not care re-check Okay() instead.  The literals are copied and
+  // normalised (sorted, duplicates and literals false at level 0 dropped,
+  // tautologies and clauses true at level 0 skipped) in member scratch,
+  // so no call allocates once the scratch has grown to the widest clause.
+  [[nodiscard]] bool AddClause(std::span<const Lit> lits);
+  [[nodiscard]] bool AddClause(std::initializer_list<Lit> lits) {
+    return AddClause(std::span<const Lit>(lits.begin(), lits.size()));
+  }
   [[nodiscard]] bool AddUnit(Lit lit) { return AddClause({lit}); }
   [[nodiscard]] bool AddBinary(Lit a, Lit b) { return AddClause({a, b}); }
 
@@ -93,7 +101,8 @@ class Solver {
   };
 
   // --- clause management ---
-  Clause* AllocClause(const std::vector<Lit>& lits, bool learnt);
+  Clause* AllocClause(std::span<const Lit> lits);
+  static void FreeClause(Clause* clause);
   void AttachClause(Clause* clause);
   void DetachClause(Clause* clause);
   void ReduceDb();
@@ -148,6 +157,11 @@ class Solver {
   std::vector<uint8_t> seen_;
   std::vector<Lit> analyze_stack_;
   std::vector<Lit> analyze_to_clear_;
+  std::vector<Lit> redundant_marked_;  // LitRedundant's marks
+  std::vector<Lit> learnt_;            // the clause Analyze derives
+
+  // AddClause's normalisation buffer.
+  std::vector<Lit> add_scratch_;
 
   std::vector<bool> model_;
 

@@ -25,29 +25,40 @@ int SatContext::SatVarOf(Var var, int frame) {
   const int sat_var = solver_.NewVar();
   var_map_.emplace(key, sat_var);
   REVISE_OBS_COUNTER("encode.frame_vars").Increment();
-  obs::Registry::Global()
-      .GetGauge("encode.max_frame")
-      ->UpdateMax(frame);
+  REVISE_OBS_GAUGE("encode.max_frame").UpdateMax(frame);
   return sat_var;
 }
 
 Lit SatContext::FreshLit() { return PosLit(solver_.NewVar()); }
 
 Lit SatContext::Encode(const Formula& f, int frame) {
-  return EncodeRec(f, frame);
+  auto it = node_map_.find(NodeKey{f.id(), frame});
+  if (it != node_map_.end()) return it->second;
+  EncodeTally tally;
+  const Lit result = EncodeRec(f, frame, &tally);
+  // node_map_ is keyed by node address: pinning the root keeps every
+  // node it just encoded alive, so no address is reused while its entry
+  // stands.
+  pinned_.push_back(f);
+  REVISE_OBS_COUNTER("encode.aux_vars").Increment(tally.aux_vars);
+  REVISE_OBS_COUNTER("encode.aux_clauses").Increment(tally.aux_clauses);
+  return result;
 }
 
-Lit SatContext::EncodeRec(const Formula& f, int frame) {
+Lit SatContext::EncodeRec(const Formula& f, int frame, EncodeTally* tally) {
   const NodeKey key{f.id(), frame};
   auto it = node_map_.find(key);
   if (it != node_map_.end()) return it->second;
 
+  // Every connective but a letter or a negation introduces one fresh
+  // definition literal plus a fixed clause pattern.
   Lit result = sat::kUndefLit;
   switch (f.kind()) {
     case Connective::kConst: {
       // A dedicated always-true/false variable per constant value.
       const Lit lit = FreshLit();
       LatchConflict(solver_.AddUnit(f.const_value() ? lit : Negate(lit)));
+      tally->aux_clauses += 1;
       result = lit;
       break;
     }
@@ -55,84 +66,68 @@ Lit SatContext::EncodeRec(const Formula& f, int frame) {
       result = PosLit(SatVarOf(f.var(), frame));
       break;
     case Connective::kNot:
-      result = Negate(EncodeRec(f.child(0), frame));
+      result = Negate(EncodeRec(f.child(0), frame, tally));
       break;
     case Connective::kAnd:
     case Connective::kOr: {
-      std::vector<Lit> children;
-      children.reserve(f.arity());
+      // The children's literals go on lit_stack_ above `base`; deeper
+      // calls push and pop above that, so the slice survives them.
+      const size_t base = lit_stack_.size();
       for (size_t i = 0; i < f.arity(); ++i) {
-        children.push_back(EncodeRec(f.child(i), frame));
+        const Lit child = EncodeRec(f.child(i), frame, tally);
+        lit_stack_.push_back(child);
       }
       const Lit g = FreshLit();
       const bool is_and = f.kind() == Connective::kAnd;
-      std::vector<Lit> big;
-      big.reserve(children.size() + 1);
-      for (const Lit c : children) {
+      // Binary clauses g -> c (And) or c -> g (Or); the slice turns into
+      // the long clause (!c_1 | ... | g) or (c_1 | ... | !g).
+      for (size_t i = base; i < lit_stack_.size(); ++i) {
+        const Lit c = lit_stack_[i];
         if (is_and) {
-          LatchConflict(solver_.AddBinary(Negate(g), c));  // g -> c
-          big.push_back(Negate(c));
+          LatchConflict(solver_.AddBinary(Negate(g), c));
+          lit_stack_[i] = Negate(c);
         } else {
-          LatchConflict(solver_.AddBinary(g, Negate(c)));  // c -> g
-          big.push_back(c);
+          LatchConflict(solver_.AddBinary(g, Negate(c)));
         }
       }
-      big.push_back(is_and ? g : Negate(g));
-      LatchConflict(solver_.AddClause(std::move(big)));
+      lit_stack_.push_back(is_and ? g : Negate(g));
+      LatchConflict(solver_.AddClause(std::span<const Lit>(
+          lit_stack_.data() + base, lit_stack_.size() - base)));
+      lit_stack_.resize(base);
+      tally->aux_clauses += f.arity() + 1;
       result = g;
       break;
     }
     case Connective::kImplies: {
-      const Lit a = EncodeRec(f.child(0), frame);
-      const Lit b = EncodeRec(f.child(1), frame);
+      const Lit a = EncodeRec(f.child(0), frame, tally);
+      const Lit b = EncodeRec(f.child(1), frame, tally);
       const Lit g = FreshLit();
       LatchConflict(solver_.AddClause({Negate(g), Negate(a), b}));
       LatchConflict(solver_.AddBinary(g, a));         // !a -> g
       LatchConflict(solver_.AddBinary(g, Negate(b)));  // b -> g
+      tally->aux_clauses += 3;
       result = g;
       break;
     }
     case Connective::kIff:
     case Connective::kXor: {
-      const Lit a = EncodeRec(f.child(0), frame);
-      Lit b = EncodeRec(f.child(1), frame);
+      const Lit a = EncodeRec(f.child(0), frame, tally);
+      Lit b = EncodeRec(f.child(1), frame, tally);
       if (f.kind() == Connective::kXor) b = Negate(b);
       const Lit g = FreshLit();  // g <-> (a <-> b)
       LatchConflict(solver_.AddClause({Negate(g), Negate(a), b}));
       LatchConflict(solver_.AddClause({Negate(g), a, Negate(b)}));
       LatchConflict(solver_.AddClause({g, a, b}));
       LatchConflict(solver_.AddClause({g, Negate(a), Negate(b)}));
+      tally->aux_clauses += 4;
       result = g;
       break;
     }
   }
-  node_map_.emplace(key, result);
-  pinned_.push_back(f);
-  // Tseitin bookkeeping: every connective above introduced one fresh
-  // definition literal plus a fixed clause pattern.
-  switch (f.kind()) {
-    case Connective::kVar:
-    case Connective::kNot:
-      break;  // no aux var, no clauses
-    case Connective::kConst:
-      REVISE_OBS_COUNTER("encode.aux_vars").Increment();
-      REVISE_OBS_COUNTER("encode.aux_clauses").Increment();
-      break;
-    case Connective::kAnd:
-    case Connective::kOr:
-      REVISE_OBS_COUNTER("encode.aux_vars").Increment();
-      REVISE_OBS_COUNTER("encode.aux_clauses").Increment(f.arity() + 1);
-      break;
-    case Connective::kImplies:
-      REVISE_OBS_COUNTER("encode.aux_vars").Increment();
-      REVISE_OBS_COUNTER("encode.aux_clauses").Increment(3);
-      break;
-    case Connective::kIff:
-    case Connective::kXor:
-      REVISE_OBS_COUNTER("encode.aux_vars").Increment();
-      REVISE_OBS_COUNTER("encode.aux_clauses").Increment(4);
-      break;
+  if (f.kind() != Connective::kVar && f.kind() != Connective::kNot) {
+    tally->aux_vars += 1;
   }
+  node_map_.emplace(key, result);
   return result;
 }
 

@@ -9,6 +9,7 @@
 #ifndef REVISE_SOLVE_SAT_CONTEXT_H_
 #define REVISE_SOLVE_SAT_CONTEXT_H_
 
+#include <cstdint>
 #include <unordered_map>
 #include <vector>
 
@@ -98,15 +99,23 @@ class SatContext {
     }
   };
 
-  sat::Lit EncodeRec(const Formula& f, int frame);
+  // The encode.aux_* counts of one Encode call, published at its end.
+  struct EncodeTally {
+    uint64_t aux_vars = 0;
+    uint64_t aux_clauses = 0;
+  };
+  sat::Lit EncodeRec(const Formula& f, int frame, EncodeTally* tally);
 
   sat::Solver solver_;
   double soft_deadline_seconds_ = 0.0;
   bool timed_out_ = false;
   std::unordered_map<FrameKey, int, FrameKeyHash> var_map_;
   std::unordered_map<NodeKey, sat::Lit, NodeKeyHash> node_map_;
-  // Pins formula nodes referenced by node_map_ so ids stay unique.
+  // The roots of the Encode calls: each keeps the nodes below it, which
+  // node_map_ references by address, alive so ids stay unique.
   std::vector<Formula> pinned_;
+  // EncodeRec's gate literals, one slice per connective being encoded.
+  std::vector<sat::Lit> lit_stack_;
 };
 
 }  // namespace revise

@@ -7,6 +7,7 @@
 
 #include <unistd.h>
 
+#include "compact/iterated_revision.h"
 #include "core/advice_oracle.h"
 #include "core/knowledge_base.h"
 #include "core/io.h"
@@ -595,6 +596,103 @@ TEST(KnowledgeBaseTest, CopiedCompactKbAnswersAfterTheOriginalRevises) {
     EXPECT_EQ(kb.Ask(query), Entails(kb.folded(), query)) << text;
   }
   EXPECT_TRUE(copy.folded().StructurallyEqual(copied_fold));
+}
+
+bool HasCompactForm(const RevisionOperator& op) {
+  return op.id() != OperatorId::kGfuv && op.id() != OperatorId::kNebel;
+}
+
+TEST(KnowledgeBaseTest, CompactReviseAfterAnUnsatisfiableUpdateFoldsToP) {
+  // An unsatisfiable update empties a compact KB; the next, satisfiable P
+  // is then the whole KB.  Revise learns that the prior is unsatisfiable
+  // without a SAT call on it: from the last update (R3), or from the
+  // empty memo Models() left.
+  for (const bool with_memo : {false, true}) {
+    for (const RevisionOperator* op : AllOperators()) {
+      if (!HasCompactForm(*op)) continue;
+      Vocabulary vocabulary;
+      KnowledgeBase kb =
+          MakeKb(Theory::ParseOrDie("a & b; b -> c", &vocabulary), op,
+                 RevisionStrategy::kCompact, &vocabulary);
+      kb.Revise(ParseOrDie("!a", &vocabulary));
+      kb.Revise(ParseOrDie("c & !c", &vocabulary));
+      ASSERT_FALSE(IsSatisfiable(kb.folded())) << op->name();
+      if (with_memo) {
+        ASSERT_TRUE(kb.Models().empty()) << op->name();
+      }
+      const Formula p = ParseOrDie("a | !c", &vocabulary);
+      kb.Revise(p);
+      EXPECT_TRUE(AreEquivalent(kb.folded(), p)) << op->name();
+      if (op->id() != OperatorId::kWidtio) {
+        EXPECT_TRUE(kb.folded().StructurallyEqual(p)) << op->name();
+      }
+      EXPECT_TRUE(kb.Ask(p)) << op->name();
+      EXPECT_FALSE(kb.Ask(ParseOrDie("a", &vocabulary))) << op->name();
+    }
+  }
+}
+
+TEST(KnowledgeBaseTest, CompactChainMatchesTheIteratedHelpers) {
+  // Five compact Revise steps, some after a Models() memo and one with an
+  // unsatisfiable update, build exactly the formulas of the iterated
+  // helpers, whose steps SAT-check every prior themselves.  The two
+  // vocabularies intern the same letters in the same order, so the fresh
+  // letters the steps mint coincide too.
+  const char* const kTheory = "(a | b) & (b -> c) & (!a | !d)";
+  const char* const kUpdates[] = {"!b", "a & d", "c & !c", "!a | b", "d"};
+  for (const RevisionOperator* op : AllOperators()) {
+    if (!HasCompactForm(*op) || op->id() == OperatorId::kWidtio) continue;
+    Vocabulary kb_vocabulary;
+    Vocabulary helper_vocabulary;
+    const Theory t = Theory::ParseOrDie(kTheory, &kb_vocabulary);
+    const Theory helper_t = Theory::ParseOrDie(kTheory, &helper_vocabulary);
+    std::vector<Formula> updates;
+    for (const char* text : kUpdates) {
+      updates.push_back(ParseOrDie(text, &kb_vocabulary));
+      static_cast<void>(ParseOrDie(text, &helper_vocabulary));
+    }
+    KnowledgeBase kb =
+        MakeKb(t, op, RevisionStrategy::kCompact, &kb_vocabulary);
+    for (size_t i = 0; i < updates.size(); ++i) {
+      if (i % 2 == 1) static_cast<void>(kb.Models());
+      kb.Revise(updates[i]);
+    }
+    // Every update's letters are T's, so the query alphabet stays put.
+    const std::vector<Var> x = IteratedAlphabet(t, updates).vars();
+    std::vector<Formula> steps;
+    switch (op->id()) {
+      case OperatorId::kDalal:
+        steps = DalalCompactIterated(helper_t.AsFormula(), updates, x,
+                                     &helper_vocabulary);
+        break;
+      case OperatorId::kWeber:
+        steps = WeberCompactIterated(helper_t.AsFormula(), updates, x,
+                                     &helper_vocabulary);
+        break;
+      case OperatorId::kWinslett:
+        steps = CompactIterated(&WinslettCompactStep, helper_t.AsFormula(),
+                                updates, &helper_vocabulary);
+        break;
+      case OperatorId::kBorgida:
+        steps = CompactIterated(&BorgidaCompactStep, helper_t.AsFormula(),
+                                updates, &helper_vocabulary);
+        break;
+      case OperatorId::kSatoh:
+        steps = CompactIterated(&SatohCompactStep, helper_t.AsFormula(),
+                                updates, &helper_vocabulary);
+        break;
+      case OperatorId::kForbus:
+        steps = CompactIterated(&ForbusCompactStep, helper_t.AsFormula(),
+                                updates, &helper_vocabulary);
+        break;
+      default:
+        FAIL() << op->name();
+    }
+    ASSERT_EQ(updates.size(), steps.size());
+    EXPECT_TRUE(kb.folded().StructurallyEqual(steps.back())) << op->name();
+    EXPECT_EQ(kb.StoredSize(), steps.back().VarOccurrences()) << op->name();
+    EXPECT_EQ(kb_vocabulary.size(), helper_vocabulary.size()) << op->name();
+  }
 }
 
 TEST(TheoryIoTest, TextRoundTrip) {

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <span>
 #include <vector>
 
 #include "obs/metrics.h"
@@ -378,6 +379,74 @@ TEST(SolverTest, StatsAccumulate) {
   }
   EXPECT_NE(solver.Solve(), Solver::Result::kUnknown);
   EXPECT_GT(solver.stats().propagations, 0u);
+}
+
+TEST(SolverTest, AddClauseNormalisesThroughTheSpanEntry) {
+  Solver solver;
+  solver.EnsureVarCount(6);
+  ASSERT_TRUE(solver.AddUnit(NegLit(0)));  // 0 is false at level 0
+  // Duplicates collapse: the clause is the binary (!1 | !2).
+  const std::vector<Lit> duplicates = {NegLit(1), NegLit(2), NegLit(1),
+                                       NegLit(2)};
+  ASSERT_TRUE(solver.AddClause(std::span<const Lit>(duplicates)));
+  // A tautology is accepted and ignored.
+  const std::vector<Lit> tautology = {PosLit(3), PosLit(1), NegLit(3)};
+  ASSERT_TRUE(solver.AddClause(std::span<const Lit>(tautology)));
+  EXPECT_EQ(Solver::Result::kSat, solver.SolveAssuming({PosLit(1)}));
+  // The literal false at level 0 is dropped, leaving the unit 1, which
+  // propagates !2 through the binary clause.
+  const std::vector<Lit> with_false = {PosLit(0), PosLit(1), PosLit(0)};
+  ASSERT_TRUE(solver.AddClause(std::span<const Lit>(with_false)));
+  EXPECT_EQ(Solver::Result::kUnsat, solver.SolveAssuming({NegLit(1)}));
+  EXPECT_EQ(Solver::Result::kUnsat, solver.SolveAssuming({PosLit(2)}));
+  ASSERT_EQ(Solver::Result::kSat, solver.Solve());
+  EXPECT_TRUE(solver.ModelValue(1));
+  EXPECT_FALSE(solver.ModelValue(2));
+  // A clause true at level 0 is skipped.
+  const std::vector<Lit> satisfied = {PosLit(1), NegLit(4)};
+  ASSERT_TRUE(solver.AddClause(std::span<const Lit>(satisfied)));
+  EXPECT_EQ(Solver::Result::kSat, solver.SolveAssuming({PosLit(4)}));
+  // A unit whose propagation conflicts: 5 forces both 3 and !3.
+  ASSERT_TRUE(solver.AddBinary(NegLit(5), PosLit(3)));
+  ASSERT_TRUE(solver.AddBinary(NegLit(5), NegLit(3)));
+  const std::vector<Lit> conflicting = {PosLit(5), PosLit(0), PosLit(5)};
+  EXPECT_FALSE(solver.AddClause(std::span<const Lit>(conflicting)));
+  EXPECT_FALSE(solver.Okay());
+  EXPECT_EQ(Solver::Result::kUnsat, solver.Solve());
+}
+
+TEST(SolverTest, ReduceDbFreesLearntClauses) {
+  // Pigeonhole 8->7.  Each Solve call starts the learnt database's
+  // budget at 2,000 clauses and grows it at every restart, so a first
+  // call stopped after 2,560 conflicts leaves more learnt clauses than
+  // the second call's budget: ReduceDb detaches and frees half of them
+  // before that call goes on to refute the instance.  The sanitizer
+  // builds check every freed clause.
+  const int holes = 7;
+  const int pigeons = 8;
+  Solver solver;
+  solver.EnsureVarCount(pigeons * holes);
+  auto var = [&](int p, int h) { return p * holes + h; };
+  for (int p = 0; p < pigeons; ++p) {
+    std::vector<Lit> clause;
+    for (int h = 0; h < holes; ++h) clause.push_back(PosLit(var(p, h)));
+    ASSERT_TRUE(solver.AddClause(clause));
+  }
+  for (int h = 0; h < holes; ++h) {
+    for (int p1 = 0; p1 < pigeons; ++p1) {
+      for (int p2 = p1 + 1; p2 < pigeons; ++p2) {
+        ASSERT_TRUE(
+            solver.AddClause({NegLit(var(p1, h)), NegLit(var(p2, h))}));
+      }
+    }
+  }
+  solver.SetInterrupt([&solver] { return solver.stats().conflicts >= 2560; });
+  ASSERT_EQ(Solver::Result::kUnknown, solver.Solve());
+  ASSERT_GT(solver.stats().learned_clauses, 2000u);
+  EXPECT_EQ(0u, solver.stats().deleted_clauses);
+  solver.SetInterrupt(nullptr);
+  EXPECT_EQ(Solver::Result::kUnsat, solver.Solve());
+  EXPECT_GT(solver.stats().deleted_clauses, 0u);
 }
 
 TEST(SolverTest, CountersConsistentAfterUnsatSolve) {

@@ -211,6 +211,62 @@ TEST(SatContextTest, EncodeIsMemoized) {
   EXPECT_EQ(l1, l2);
 }
 
+TEST(SatContextTest, EncodePublishesPerNodeAuxCounts) {
+  // Each connective node adds one definition letter and a fixed clause
+  // pattern: And/Or arity + 1 clauses, Implies 3, Iff/Xor 4; letters and
+  // negations add none, and a shared node is encoded once.
+  Vocabulary vocabulary;
+  const Formula a = ParseOrDie("a", &vocabulary);
+  const Formula b = ParseOrDie("b", &vocabulary);
+  const Formula c = ParseOrDie("c", &vocabulary);
+  const Formula d = ParseOrDie("d", &vocabulary);
+  const Formula shared = Formula::And(a, b);
+  const Formula f = Formula::Or({shared, Formula::Not(Formula::Implies(c, d)),
+                                 Formula::Iff(a, c), Formula::Xor(shared, d)});
+  ASSERT_EQ(Connective::kOr, f.kind());
+  ASSERT_EQ(4u, f.arity());
+  obs::Registry& registry = obs::Registry::Global();
+  const uint64_t vars_before = registry.GetCounter("encode.aux_vars")->Value();
+  const uint64_t clauses_before =
+      registry.GetCounter("encode.aux_clauses")->Value();
+  SatContext context;
+  const sat::Lit lit = context.Encode(f);
+  // Or, And, Implies, Iff, Xor.
+  EXPECT_EQ(5u, registry.GetCounter("encode.aux_vars")->Value() - vars_before);
+  EXPECT_EQ(5u + 3u + 3u + 4u + 4u,
+            registry.GetCounter("encode.aux_clauses")->Value() -
+                clauses_before);
+  // A memoized root adds nothing.
+  EXPECT_EQ(lit, context.Encode(f));
+  EXPECT_EQ(5u, registry.GetCounter("encode.aux_vars")->Value() - vars_before);
+}
+
+TEST(SatContextTest, EncodingsOutliveTheCallersHandle) {
+  // The context pins only each Encode root; the nodes below it stay alive
+  // through the root.  Fresh formulas built after the caller drops its
+  // handle must get encodings of their own, not a stale one found under
+  // a reused node address.
+  Vocabulary vocabulary;
+  const Var a = vocabulary.Intern("a");
+  const Var c = vocabulary.Intern("c");
+  SatContext context;
+  sat::Lit first;
+  {
+    const Formula f = ParseOrDie("(a & b) | (a & !b)", &vocabulary);
+    first = context.Encode(f);
+  }
+  for (int i = 0; i < 64; ++i) {
+    const Formula g = ParseOrDie("(c & d) | (c & !d)", &vocabulary);
+    const sat::Lit lit = context.Encode(g);
+    // g |= c, and g is satisfiable.
+    EXPECT_FALSE(context.Solve({lit, sat::NegLit(context.SatVarOf(c))}));
+    EXPECT_TRUE(context.Solve({lit}));
+  }
+  // The dropped formula's encoding still means a.
+  EXPECT_FALSE(context.Solve({first, sat::NegLit(context.SatVarOf(a))}));
+  EXPECT_TRUE(context.Solve({first}));
+}
+
 // --- distance machinery ---
 
 struct DistanceCase {
