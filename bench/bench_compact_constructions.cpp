@@ -71,6 +71,7 @@ void MeasureBoundedConstantFactor(obs::Report* report) {
               "Forbus(6)", "Satoh(7)", "Dalal(8)", "Weber(9)");
   report->AddTable("bounded_constant_factor",
                    {"k", "winslett", "forbus", "satoh", "dalal", "weber"});
+  std::vector<double> ks;
   std::vector<uint64_t> winslett_sizes;
   for (int k = 1; k <= 5; ++k) {
     std::vector<Formula> negated;
@@ -83,6 +84,7 @@ void MeasureBoundedConstantFactor(obs::Report* report) {
     const uint64_t satoh = SatohBounded(t, p).VarOccurrences();
     const uint64_t dalal = DalalBounded(t, p).VarOccurrences();
     const uint64_t weber = WeberBounded(t, p).VarOccurrences();
+    ks.push_back(k);
     winslett_sizes.push_back(winslett);
     std::printf("%-4d %14llu %14llu %14llu %14llu %14llu\n", k,
                 static_cast<unsigned long long>(winslett),
@@ -96,7 +98,7 @@ void MeasureBoundedConstantFactor(obs::Report* report) {
   report->AddSeries(
       "winslett_bounded_size",
       std::vector<double>(winslett_sizes.begin(), winslett_sizes.end()),
-      bench::GrowthVerdict(winslett_sizes));
+      bench::GrowthVerdict(ks, winslett_sizes));
 }
 
 void MeasureCandidateAblation(obs::Report* report) {

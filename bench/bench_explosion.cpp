@@ -72,9 +72,11 @@ void MeasureNebel(obs::Report* report) {
             }
             return shard;
           });
+  std::vector<double> ms;
   std::vector<uint64_t> naive_sizes;
   for (const std::vector<NebelRow>& shard : row_shards) {
     for (const NebelRow& row : shard) {
+      ms.push_back(row.m);
       naive_sizes.push_back(row.naive_size);
       std::printf("%-4d %10llu %12zu %16llu %16s\n", row.m,
                   static_cast<unsigned long long>(row.input_size), row.worlds,
@@ -84,7 +86,7 @@ void MeasureNebel(obs::Report* report) {
                                       row.naive_size, row.minimal});
     }
   }
-  const std::string verdict = bench::GrowthVerdict(naive_sizes);
+  const std::string verdict = bench::GrowthVerdict(ms, naive_sizes);
   std::printf("naive growth: %s (paper: 2^m worlds).  The QM-minimal size\n"
               "stays small because T *_GFUV P1 == P1 for THIS family —\n"
               "worst-case non-compactability needs the Thm 3.1 advice "
@@ -127,9 +129,11 @@ void MeasureWinslettChain(obs::Report* report) {
             }
             return shard;
           });
+  std::vector<double> ms;
   std::vector<uint64_t> world_counts;
   for (const std::vector<ChainRow>& shard : row_shards) {
     for (const ChainRow& row : shard) {
+      ms.push_back(row.m);
       world_counts.push_back(row.worlds);
       std::printf("%-4d %10llu %6llu %12zu %16llu\n", row.m,
                   static_cast<unsigned long long>(row.t_size),
@@ -139,7 +143,7 @@ void MeasureWinslettChain(obs::Report* report) {
                                         row.worlds, row.naive_size});
     }
   }
-  const std::string verdict = bench::GrowthVerdict(world_counts);
+  const std::string verdict = bench::GrowthVerdict(ms, world_counts);
   std::printf("world-count growth: %s\n", verdict.c_str());
   report->AddSeries(
       "winslett_world_counts",

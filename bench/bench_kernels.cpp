@@ -10,11 +10,15 @@
 //   * Enumeration cache: cold vs warm EnumerateModels on the Nebel GFUV
 //     formula.  The warm path is a structural-hash lookup and is orders
 //     of magnitude faster than re-running the AllSAT loop.
+//   * Truth tables: the Proposition 2.1 candidate fold and the model-set
+//     entailment check, both on truth tables over the formula's letters,
+//     checked against the set-level operators and SAT entailment.
 //
-// --json writes BENCH_kernels.json with both tables.
+// --json writes BENCH_kernels.json with all three tables.
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <string>
@@ -22,9 +26,12 @@
 
 #include "bench/bench_util.h"
 #include "hardness/families.h"
+#include "hardness/random_instances.h"
 #include "kernel/kernels.h"
+#include "model/canonical.h"
 #include "model/model_set.h"
 #include "obs/metrics.h"
+#include "revision/candidates.h"
 #include "revision/formula_based.h"
 #include "revision/model_based.h"
 #include "solve/model_cache.h"
@@ -185,6 +192,108 @@ void MeasureEnumerationCache(obs::Report* report) {
               static_cast<unsigned long long>(misses));
 }
 
+// The model-set fold and entailment check of a delayed knowledge base,
+// both run on truth tables over the formula's own letters (logic/
+// evaluate.h TruthTable), at the delayed_ask pipeline workload's shape: a
+// fixed set of 384 models over 14 letters, a 6-letter P, and 3-letter
+// clause queries on the Dalal revision of the set.  `identical` checks
+// each fold against the set-level ReviseModelSets on M(P) and the query
+// batch against SAT entailment on the canonical DNF of the revised set.
+void MeasureTruthTablePaths(obs::Report* report) {
+  bench::Headline("Truth-table fold and entailment on a 384-model set");
+  report->AddTable("truth_table", {"path", "models", "letters",
+                                   "result", "per_call_ms",
+                                   "identical"});
+  std::printf("%-26s %8s %8s %8s %12s %10s\n", "path", "models",
+              "letters", "result", "per call ms", "identical");
+  constexpr int kLetters = 14;
+  constexpr size_t kModels = 384;
+  constexpr int kCalls = 200;
+  Vocabulary vocabulary;
+  std::vector<Var> vars;
+  std::vector<Formula> x;
+  for (int i = 0; i < kLetters; ++i) {
+    vars.push_back(vocabulary.Intern("x" + std::to_string(i)));
+    x.push_back(Formula::Variable(vars.back()));
+  }
+  const Alphabet alphabet(vars);
+  Rng rng(384);
+  std::vector<uint64_t> indexes;
+  while (indexes.size() < kModels) {
+    const uint64_t index = rng.Below(uint64_t{1} << kLetters);
+    if (std::find(indexes.begin(), indexes.end(), index) == indexes.end()) {
+      indexes.push_back(index);
+    }
+  }
+  std::vector<Interpretation> rows;
+  for (const uint64_t index : indexes) {
+    rows.push_back(Interpretation::FromIndex(kLetters, index));
+  }
+  const ModelSet mt(alphabet, std::move(rows));
+  // A 6-letter P over x0..x5.
+  const Formula p = Formula::And(
+      {Formula::Or({x[0], Formula::Not(x[1]), x[2]}),
+       Formula::Or(Formula::Not(x[3]), x[4]),
+       Formula::Or({x[5], Formula::Not(x[0]), x[3]}),
+       Formula::Or(Formula::Not(x[2]), Formula::Not(x[5]))});
+  const ModelSet mp = EnumerateModels(p, alphabet);
+  const auto add_row = [&](const std::string& path, size_t models,
+                           size_t letters, size_t result,
+                           double per_call_ms, bool identical) {
+    std::printf("%-26s %8zu %8zu %8zu %12.5f %10s\n", path.c_str(), models,
+                letters, result, per_call_ms,
+                identical ? "yes" : "NO");
+    report->AddRow("truth_table", {path, models, letters, result,
+                                   per_call_ms, identical});
+  };
+  ModelSet dalal;
+  for (const OperatorId id :
+       {OperatorId::kDalal, OperatorId::kWinslett, OperatorId::kSatoh}) {
+    const auto* op =
+        dynamic_cast<const ModelBasedOperator*>(OperatorById(id));
+    ModelSet folded;
+    const double ms = TimeMs(5, [&] {
+      for (int call = 0; call < kCalls; ++call) {
+        folded = ReviseSetByFormula(id, mt, p);
+      }
+    });
+    add_row("ReviseSetByFormula/" + std::string(op->name()), mt.size(),
+            p.Vars().size(), folded.size(), ms / kCalls,
+            folded == op->ReviseModelSets(mt, mp));
+    if (id == OperatorId::kDalal) dalal = folded;
+  }
+  // Queries on the revised set, as a delayed Ask sees it: random clauses
+  // (mostly refuted by an early model) and P's clauses, the two-letter
+  // ones widened to three letters (entailed, so every model is read).
+  std::vector<Formula> queries;
+  for (int i = 0; i < 60; ++i) {
+    queries.push_back(RandomClauses(vars, 1, 3, &rng));
+  }
+  queries.push_back(Formula::Or({x[0], Formula::Not(x[1]), x[2]}));
+  queries.push_back(Formula::Or({Formula::Not(x[3]), x[4], x[7]}));
+  queries.push_back(Formula::Or({x[5], Formula::Not(x[0]), x[3]}));
+  queries.push_back(
+      Formula::Or({Formula::Not(x[2]), Formula::Not(x[5]), x[9]}));
+  std::vector<bool> answers(queries.size());
+  const double ms = TimeMs(5, [&] {
+    for (int call = 0; call < kCalls; ++call) {
+      for (size_t i = 0; i < queries.size(); ++i) {
+        answers[i] = EntailedByModels(dalal, queries[i]);
+      }
+    }
+  });
+  const Formula dnf = CanonicalDnf(dalal);
+  bool identical = true;
+  size_t entailed = 0;
+  for (size_t i = 0; i < queries.size(); ++i) {
+    identical = identical && answers[i] == Entails(dnf, queries[i]);
+    entailed += answers[i] ? 1 : 0;
+  }
+  // Here `result` counts the entailed queries.
+  add_row("EntailedByModels/clause3", dalal.size(), 3, entailed,
+          ms / kCalls / static_cast<double>(queries.size()), identical);
+}
+
 void BM_GlobalMinimalDiffs(benchmark::State& state) {
   const KernelInput input =
       MakeNebelWorlds(static_cast<int>(state.range(0)));
@@ -268,6 +377,7 @@ int main(int argc, char** argv) {
       revise::obs::Json(std::string(revise::kernel::ActiveSimdPath())));
   revise::MeasureKernelScaling(&reporter.report());
   revise::MeasureEnumerationCache(&reporter.report());
+  revise::MeasureTruthTablePaths(&reporter.report());
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();

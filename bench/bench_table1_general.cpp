@@ -102,8 +102,9 @@ void MeasureCompactSizes(obs::Report* report) {
                                        row.dalal_size, row.weber_size});
     }
   }
-  const std::string dalal_verdict = bench::GrowthVerdict(dalal_sizes);
-  const std::string weber_verdict = bench::GrowthVerdict(weber_sizes);
+  const std::vector<double> params(ns.begin(), ns.end());
+  const std::string dalal_verdict = bench::GrowthVerdict(params, dalal_sizes);
+  const std::string weber_verdict = bench::GrowthVerdict(params, weber_sizes);
   std::printf("growth: Dalal %s, Weber %s (paper: both polynomial)\n",
               dalal_verdict.c_str(), weber_verdict.c_str());
   report->AddSeries("dalal_compact_size",

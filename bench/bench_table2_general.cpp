@@ -58,9 +58,13 @@ void MeasureIteratedSizes(obs::Report* report) {
               "|(10)| Weber");
   report->AddTable("iterated_sizes",
                    {"m", "input_size", "dalal_size", "weber_size"});
+  // Growth is judged against the input size |T| + |P^1| + ... + |P^m|,
+  // the measure the paper's polynomial bound is stated in.
+  std::vector<double> input_sizes;
   uint64_t input = t.VarOccurrences();
   for (size_t m = 0; m < updates.size(); ++m) {
     input += updates[m].VarOccurrences();
+    input_sizes.push_back(static_cast<double>(input));
     std::printf("%-6zu %10llu %14llu %14llu\n", m + 1,
                 static_cast<unsigned long long>(input),
                 static_cast<unsigned long long>(phis[m].VarOccurrences()),
@@ -73,9 +77,12 @@ void MeasureIteratedSizes(obs::Report* report) {
   std::vector<uint64_t> weber_sizes;
   for (const Formula& f : phis) dalal_sizes.push_back(f.VarOccurrences());
   for (const Formula& f : psis) weber_sizes.push_back(f.VarOccurrences());
-  const std::string dalal_verdict = bench::GrowthVerdict(dalal_sizes);
-  const std::string weber_verdict = bench::GrowthVerdict(weber_sizes);
-  std::printf("growth in m: Dalal %s, Weber %s (paper: both polynomial)\n",
+  const std::string dalal_verdict =
+      bench::GrowthVerdict(input_sizes, dalal_sizes);
+  const std::string weber_verdict =
+      bench::GrowthVerdict(input_sizes, weber_sizes);
+  std::printf(
+      "growth in |T|+sum|P|: Dalal %s, Weber %s (paper: both polynomial)\n",
               dalal_verdict.c_str(), weber_verdict.c_str());
   report->AddSeries("dalal_iterated_size",
                     std::vector<double>(dalal_sizes.begin(), dalal_sizes.end()),

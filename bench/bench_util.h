@@ -29,6 +29,7 @@
 #include <thread>
 #include <vector>
 
+#include "bench/growth_verdict.h"
 #include "logic/formula.h"
 #include "logic/theory.h"
 #include "logic/vocabulary.h"
@@ -46,27 +47,6 @@ namespace revise::bench {
 
 inline void Headline(const std::string& text) {
   std::printf("\n==== %s ====\n", text.c_str());
-}
-
-// Crude growth classification from a size series f(i): compares the last
-// two ratios f(i)/f(i-1) — "poly" growth has ratios tending to 1 for
-// linear steps, "exp" stays bounded away.  The verdict threshold of 1.8
-// for doubling-style explosion is generous.  Series that are too short,
-// contain zero entries (the ratios would be inf/NaN), or are not monotone
-// non-decreasing get "n/a" — a noisy series is not evidence of explosion.
-inline std::string GrowthVerdict(const std::vector<uint64_t>& sizes) {
-  if (sizes.size() < 3) return "n/a";
-  for (const uint64_t size : sizes) {
-    if (size == 0) return "n/a";
-  }
-  for (size_t i = 1; i < sizes.size(); ++i) {
-    if (sizes[i] < sizes[i - 1]) return "n/a";
-  }
-  const double r1 = static_cast<double>(sizes[sizes.size() - 1]) /
-                    static_cast<double>(sizes[sizes.size() - 2]);
-  const double r2 = static_cast<double>(sizes[sizes.size() - 2]) /
-                    static_cast<double>(sizes[sizes.size() - 3]);
-  return (r1 > 1.8 && r2 > 1.8) ? "EXPONENTIAL" : "polynomial";
 }
 
 // Handles the --json[=path] and --trace=<path> flags for a bench binary

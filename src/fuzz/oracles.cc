@@ -451,19 +451,33 @@ std::optional<std::string> CompactVsDirectOracle(const Scenario& s) {
 }
 
 // EntailedByModels vs SAT entailment on the canonical DNF of the same
-// model set.  y is a fresh letter outside every model set's alphabet, so the queries
-// that mention it always take the assumption-SAT path.
+// model set.  y is a fresh letter outside every model set's alphabet, so
+// the queries that mention it fold an outside letter out of the truth
+// table; in "Q <-> y1 & ... & y6" the last fresh letters sit at table
+// bit 6 or above, where the fold works on whole words.  "Q | y1 & ... & y17"
+// has more than kMaxTruthTableLetters letters, so it takes the
+// assumption-SAT path on every scenario.
 std::optional<std::string> EntailmentOracle(const Scenario& s) {
   const Alphabet x = RevisionAlphabet(s.t, s.p);
   if (x.size() > kMaxOracleAlphabet) return std::nullopt;
   const Formula y = Formula::Variable(s.vocabulary->Fresh("y"));
+  const std::vector<Var> fresh =
+      s.vocabulary->FreshBlock("y", kMaxTruthTableLetters + 1);
+  std::vector<Formula> ys;
+  ys.reserve(fresh.size());
+  for (const Var v : fresh) ys.push_back(Formula::Variable(v));
+  const Formula y1_to_y6 =
+      ConjoinAll(std::vector<Formula>(ys.begin(), ys.begin() + 6));
+  const Formula y1_to_y17 = ConjoinAll(ys);
   const struct {
     const char* name;
     Formula query;
   } queries[] = {{"Q", s.q},
                  {"Q | y", Formula::Or(s.q, y)},
                  {"Q & y", Formula::And(s.q, y)},
-                 {"Q <-> y", Formula::Iff(s.q, y)}};
+                 {"Q <-> y", Formula::Iff(s.q, y)},
+                 {"Q <-> y1 & ... & y6", Formula::Iff(s.q, y1_to_y6)},
+                 {"Q | y1 & ... & y17", Formula::Or(s.q, y1_to_y17)}};
   std::vector<std::pair<std::string, ModelSet>> sets;
   sets.emplace_back("the empty model set", ModelSet(x, {}));
   for (const ModelBasedOperator* op : AllModelBasedOperators()) {

@@ -27,7 +27,10 @@
 //   entailment            EntailedByModels vs Entails on the canonical
 //                         DNF, for the empty set and each model-based
 //                         operator's revision, on Q, Q | y, Q & y and
-//                         Q <-> y with y a fresh letter.
+//                         Q <-> y with y a fresh letter and on
+//                         Q <-> y1 & ... & y6 (truth-table path), and on
+//                         Q | y1 & ... & y17 (assumption-SAT path), the
+//                         yi fresh letters.
 //   explicit-fold         an explicit and a delayed KnowledgeBase revised
 //                         by P then Q under each of the nine operators.
 //                         Explicit: Models() vs a truth table of

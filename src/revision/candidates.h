@@ -9,9 +9,13 @@
 // for each M |= T, the 2^|V(P)| candidates M delta S (S ⊆ V(P)) that
 // satisfy P.
 //
-// Cost: O(|M(T)| * 2^|V(P)|) instead of O(|M(T)| * |M(P)|) where |M(P)|
-// is exponential in the FULL alphabet — this is what makes the
-// bounded-|P| database workloads of Section 4 practical on large T.
+// The truth of P depends only on V(P), so P is tabulated once over V(P)
+// (logic/evaluate.h TruthTable) and the candidates of M are read off the
+// table at M's V(P)-projection; models with the same projection share
+// them.  Cost: 2^|V(P)| evaluations plus |M(T)| * 2^|V(P)| bit reads,
+// instead of O(|M(T)| * |M(P)|) where |M(P)| is exponential in the FULL
+// alphabet — this is what makes the bounded-|P| database workloads of
+// Section 4 practical on large T.
 
 #ifndef REVISE_REVISION_CANDIDATES_H_
 #define REVISE_REVISION_CANDIDATES_H_
@@ -23,14 +27,16 @@
 namespace revise {
 
 // `id` must be one of the six model-based operators; `mt` must be over an
-// alphabet containing V(p).  Requires |V(p)| <= 20.  Degenerate cases
+// alphabet containing V(p).  Requires |V(p)| <= kMaxTruthTableLetters
+// (16).  Degenerate cases
 // follow the operator conventions (mt empty is NOT handled here — callers
 // fall back to M(P); see ReviseModelsAuto).
 ModelSet ReviseSetByFormula(OperatorId id, const ModelSet& mt,
                             const Formula& p);
 
-// Chooses automatically between the candidate path (small V(p)) and the
-// full-enumeration reference path, including the degenerate conventions.
+// Chooses automatically between the candidate path (|V(p)| <=
+// kMaxTruthTableLetters) and the full-enumeration reference path,
+// including the degenerate conventions.
 ModelSet ReviseModelsAuto(OperatorId id, const ModelSet& mt,
                           const Formula& p, const Alphabet& alphabet);
 

@@ -52,6 +52,23 @@ ModelSet CollectProjectedModels(SatContext& context, const Alphabet& alphabet,
   return ModelSet(alphabet, std::move(models));
 }
 
+// Universally quantifies letter j out of a TruthTable: afterwards bit t,
+// for every t with bit j clear, is the AND of the old bits t and t | 2^j.
+// Bits with bit j set are left meaningless; no later read looks at them,
+// and a later fold of another letter reads only indices with bit j clear.
+void ForAllOfLetter(size_t j, std::vector<uint64_t>* table) {
+  std::vector<uint64_t>& words = *table;
+  if (j < 6) {
+    const unsigned shift = 1u << j;
+    for (uint64_t& word : words) word &= word >> shift;
+    return;
+  }
+  const size_t stride = size_t{1} << (j - 6);
+  for (size_t w = 0; w < words.size(); ++w) {
+    if ((w & stride) == 0) words[w] &= words[w | stride];
+  }
+}
+
 // True iff every variable of f lies inside `alphabet`, i.e. enumerating f
 // over `alphabet` involves no projection.
 bool ProjectionFree(const Formula& f, const Alphabet& alphabet) {
@@ -130,25 +147,41 @@ bool EntailedByModels(const ModelSet& models, const Formula& q) {
   if (models.empty()) return true;
   // S = V(q) ∩ A(M) is all q can see of a model; Y = V(q) \ A(M) ranges
   // freely.
-  std::vector<Var> shared_vars;
-  bool has_outside = false;
-  for (const Var v : q.Vars()) {
-    if (models.alphabet().Contains(v)) {
-      shared_vars.push_back(v);
-    } else {
-      has_outside = true;
+  const std::vector<Var> vars = q.Vars();
+  const Alphabet& alphabet = models.alphabet();
+  if (vars.size() <= kMaxTruthTableLetters) {
+    // Tabulate q over V(q), fold each Y-letter out by AND (q must hold
+    // under both of its values), then read every model's S-projection.
+    std::vector<uint64_t> table = TruthTable(q, vars);
+    // Each S-letter's position in the alphabet and its bit in the index.
+    std::vector<size_t> positions;
+    std::vector<uint64_t> bits;
+    for (size_t j = 0; j < vars.size(); ++j) {
+      if (const auto index = alphabet.IndexOf(vars[j])) {
+        positions.push_back(*index);
+        bits.push_back(uint64_t{1} << j);
+      } else {
+        ForAllOfLetter(j, &table);
+      }
     }
+    for (const Interpretation& m : models) {
+      uint64_t t = 0;
+      for (size_t j = 0; j < positions.size(); ++j) {
+        if (m.Get(positions[j])) t |= bits[j];
+      }
+      if (!TruthTableBit(table, t)) return false;
+    }
+    return true;
+  }
+  // A wide q: a projection is a countermodel iff it extends to a model of
+  // !q, decided per distinct projection by one assumption-based SAT call.
+  std::vector<Var> shared_vars;
+  for (const Var v : vars) {
+    if (alphabet.Contains(v)) shared_vars.push_back(v);
   }
   const ModelSet projections =
       models.ProjectTo(Alphabet(std::move(shared_vars)));
   const Alphabet& shared = projections.alphabet();
-  if (!has_outside) {
-    for (const Interpretation& m : projections) {
-      if (!Evaluate(q, shared, m)) return false;
-    }
-    return true;
-  }
-  // A projection is a countermodel iff it extends to a model of !q.
   SatContext context;
   context.Assert(Formula::Not(q));
   std::vector<sat::Lit> shared_lits(shared.size());

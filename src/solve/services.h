@@ -58,10 +58,12 @@ class EntailmentSolver {
 // Entails(CanonicalDnf(models), q) without building or encoding the DNF.
 // Letters of q outside models.alphabet() are unconstrained: q must hold
 // under every value of them.  Only the projections of the models onto the
-// letters q shares with the alphabet matter, so each distinct projection
-// is checked once: by Evaluate when q has no outside letters, otherwise by
-// one assumption-based SAT call on a single encoding of !q.  The empty
-// set entails everything.
+// letters q shares with the alphabet matter.  When |V(q)| <=
+// kMaxTruthTableLetters, q is tabulated once over V(q) (logic/evaluate.h
+// TruthTable), its outside letters are ANDed out of the table, and each
+// model costs one bit read at its projection: no SAT call.  A wider q is
+// decided per distinct projection by one assumption-based SAT call on a
+// single encoding of !q.  The empty set entails everything.
 [[nodiscard]] bool EntailedByModels(const ModelSet& models, const Formula& q);
 
 // Logical equivalence: a |= b and b |= a.

@@ -56,6 +56,40 @@ TEST(Crc64Test, EmptyAndIncrementalAgree) {
   EXPECT_EQ(Crc64Final(state), Crc64(data.data(), data.size()));
 }
 
+// The bit-at-a-time definition of CRC-64/XZ's state update, independent
+// of the sliced tables.
+uint64_t BitwiseCrc64Update(uint64_t state, const uint8_t* bytes,
+                            size_t size) {
+  for (size_t i = 0; i < size; ++i) {
+    state ^= bytes[i];
+    for (int bit = 0; bit < 8; ++bit) {
+      state = (state >> 1) ^ ((state & 1) ? 0xc96c5795d7870f42ull : 0);
+    }
+  }
+  return state;
+}
+
+TEST(Crc64Test, SlicedUpdateMatchesBitwiseReference) {
+  std::vector<uint8_t> buffer(64 + 8);
+  for (size_t i = 0; i < buffer.size(); ++i) {
+    buffer[i] = static_cast<uint8_t>(i * 131 + 7);
+  }
+  for (size_t offset = 0; offset < 8; ++offset) {
+    const uint8_t* data = buffer.data() + offset;
+    for (size_t size = 0; size <= 64; ++size) {
+      const uint64_t want = BitwiseCrc64Update(Crc64Init(), data, size);
+      EXPECT_EQ(Crc64Update(Crc64Init(), data, size), want)
+          << "offset " << offset << " size " << size;
+      // Split at every point: the sliced and tail loops meet mid-stream.
+      for (size_t split = 0; split <= size; ++split) {
+        const uint64_t state = Crc64Update(Crc64Init(), data, split);
+        ASSERT_EQ(Crc64Update(state, data + split, size - split), want)
+            << "offset " << offset << " size " << size << " split " << split;
+      }
+    }
+  }
+}
+
 TEST(Crc64Test, SensitiveToEveryBit) {
   const std::string data = "abcdefgh";
   const uint64_t reference = Crc64(data.data(), data.size());

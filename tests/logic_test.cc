@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "hardness/random_instances.h"
 #include "logic/evaluate.h"
 #include "logic/formula.h"
@@ -218,6 +220,96 @@ TEST(EvaluateTest, VariablesOutsideAlphabetAreFalse) {
   EXPECT_FALSE(Evaluate(f, alphabet, m));
   m.Set(0, true);
   EXPECT_TRUE(Evaluate(f, alphabet, m));
+}
+
+// A random formula DAG over `letters` and `outside` (a letter missing from
+// the table's list): every connective, both constants, and subformulas
+// drawn from a shared pool, so nodes have several parents.
+Formula RandomDag(const std::vector<Var>& letters, Var outside, int steps,
+                  Rng* rng) {
+  std::vector<Formula> pool = {Formula::True(), Formula::False(),
+                               Formula::Variable(outside)};
+  for (const Var v : letters) {
+    pool.push_back(Formula::Literal(v, rng->Chance(0.5)));
+  }
+  const auto pick = [&] { return pool[rng->Below(pool.size())]; };
+  for (int step = 0; step < steps; ++step) {
+    const Formula a = pick();
+    const Formula b = pick();
+    switch (rng->Below(6)) {
+      case 0:
+        pool.push_back(Formula::Not(a));
+        break;
+      case 1:
+        pool.push_back(Formula::And({a, b, pick()}));
+        break;
+      case 2:
+        pool.push_back(Formula::Or(a, b));
+        break;
+      case 3:
+        pool.push_back(Formula::Implies(a, b));
+        break;
+      case 4:
+        pool.push_back(Formula::Iff(a, b));
+        break;
+      default:
+        pool.push_back(Formula::Xor(a, b));
+        break;
+    }
+  }
+  const size_t n = pool.size();
+  return Formula::Xor(Formula::Or(pool[n - 1], pool[n - 2]),
+                      Formula::Implies(pool[n - 3], pool[n - 4]));
+}
+
+// Checks TruthTable(f, letters) bit by bit against Evaluate.
+void ExpectTableMatchesEvaluate(const Formula& f,
+                                const std::vector<Var>& letters) {
+  const size_t k = letters.size();
+  const std::vector<uint64_t> table = TruthTable(f, letters);
+  ASSERT_EQ(table.size(), k <= 6 ? 1u : size_t{1} << (k - 6));
+  if (k < 6) {
+    EXPECT_EQ(table[0] >> (size_t{1} << k), 0u) << "bits above 2^k";
+  }
+  const Alphabet alphabet(letters);  // sorted: positions differ from j
+  std::vector<size_t> position(k);
+  for (size_t j = 0; j < k; ++j) position[j] = *alphabet.IndexOf(letters[j]);
+  for (uint64_t t = 0; t < (uint64_t{1} << k); ++t) {
+    Interpretation m(k);
+    for (size_t j = 0; j < k; ++j) m.Set(position[j], (t >> j) & 1);
+    ASSERT_EQ(TruthTableBit(table, t), Evaluate(f, alphabet, m))
+        << "assignment " << t << " of " << k << " letters";
+  }
+}
+
+TEST(TruthTableTest, MatchesEvaluateOnEveryAssignment) {
+  for (const size_t k : {0, 1, 6, 7, 10, 16}) {
+    Vocabulary vocabulary;
+    const Var outside = vocabulary.Intern("z");
+    std::vector<Var> letters;
+    letters.reserve(k);
+    for (size_t j = 0; j < k; ++j) {
+      letters.push_back(vocabulary.Intern("x" + std::to_string(j)));
+    }
+    // List order is not alphabet order.
+    std::reverse(letters.begin(), letters.end());
+    Rng rng(9000 + k);
+    const int formulas = k == 16 ? 2 : 12;
+    for (int i = 0; i < formulas; ++i) {
+      const Formula f =
+          RandomDag(letters, outside, static_cast<int>(2 * k) + 12, &rng);
+      ExpectTableMatchesEvaluate(f, letters);
+    }
+    ExpectTableMatchesEvaluate(Formula::True(), letters);
+    ExpectTableMatchesEvaluate(Formula::False(), letters);
+    ExpectTableMatchesEvaluate(Formula::Variable(outside), letters);
+    if (k == 16) {
+      // Enough nodes that the 16-letter node tables are swept in blocks.
+      const Formula large = RandomDag(letters, outside, 400, &rng);
+      ASSERT_GT(large.DagSize(), 64u);
+      ExpectTableMatchesEvaluate(large, letters);
+    }
+  }
 }
 
 TEST(SubstituteTest, SimultaneousSwap) {

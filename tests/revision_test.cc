@@ -500,6 +500,50 @@ TEST_P(RandomRevisionTest, CandidatePathMatchesPureSetSemantics) {
   }
 }
 
+// The candidate path where P's truth table spans several words: |V(P)| = 7
+// (two words) and 16 (1024 words), over an alphabet with two letters
+// outside V(P).
+TEST(CandidatePathTest, MultiWordTablesMatchPureSetSemantics) {
+  for (const size_t width : {size_t{7}, size_t{16}}) {
+    Vocabulary vocabulary;
+    std::vector<Var> vp;
+    vp.reserve(width);
+    for (size_t i = 0; i < width; ++i) {
+      vp.push_back(vocabulary.Intern("p" + std::to_string(i)));
+    }
+    std::vector<Var> all = vp;
+    all.push_back(vocabulary.Intern("u"));
+    all.push_back(vocabulary.Intern("w"));
+    const Alphabet alphabet(all);
+    Rng rng(7100 + width);
+    Formula p;
+    do {
+      p = width <= 8 ? RandomFormula(vp, 6, &rng)
+                     : RandomClauses(vp, 2 * width, 3, &rng);
+    } while (p.Vars().size() != width || !IsSatisfiable(p));
+    const ModelSet mp = EnumerateModels(p, alphabet);
+    for (int trial = 0; trial < 3; ++trial) {
+      std::vector<Interpretation> rows;
+      rows.reserve(25);
+      for (int i = 0; i < 24; ++i) {
+        rows.push_back(Interpretation::FromIndex(
+            alphabet.size(), rng.Below(uint64_t{1} << alphabet.size())));
+      }
+      // A repeated V(P)-projection: models sharing one candidate list.
+      Interpretation twin = rows[0];
+      const size_t w = *alphabet.IndexOf(all.back());
+      twin.Set(w, !twin.Get(w));
+      rows.push_back(twin);
+      const ModelSet mt(alphabet, std::move(rows));
+      for (const ModelBasedOperator* op : AllModelBasedOperators()) {
+        ASSERT_EQ(op->ReviseModelSets(mt, mp),
+                  ReviseSetByFormula(op->id(), mt, p))
+            << op->name() << " at |V(P)| = " << width << ", trial " << trial;
+      }
+    }
+  }
+}
+
 TEST_P(RandomRevisionTest, ReviseFormulaMatchesReviseModels) {
   Rng rng(GetParam().seed + 4000);
   for (int trial = 0; trial < 6; ++trial) {

@@ -92,6 +92,68 @@ TEST(ServicesTest, EntailedByModelsMatchesCanonicalDnfEntailment) {
   }
 }
 
+// Both sides of the truth-table width: queries over 16 letters take the
+// table (outside letters folded out, several of them at word-level
+// positions), queries over 17 the assumption-SAT branch; each over the
+// alphabet alone and with foreign letters, and on the empty set.
+TEST(ServicesTest, EntailedByModelsMatchesDnfEntailmentAtTheTableWidth) {
+  Vocabulary vocabulary;
+  std::vector<Var> inside;
+  std::vector<Var> foreign;
+  inside.reserve(17);
+  foreign.reserve(6);
+  for (int i = 0; i < 17; ++i) {
+    inside.push_back(vocabulary.Intern("a" + std::to_string(i)));
+  }
+  for (int i = 0; i < 6; ++i) {
+    foreign.push_back(vocabulary.Intern("y" + std::to_string(i)));
+  }
+  const Alphabet alphabet(inside);
+  const Formula a0 = Formula::Variable(inside[0]);
+  Rng rng(1617);
+  size_t entailed = 0;
+  size_t refuted = 0;
+  for (int round = 0; round < 24; ++round) {
+    // Half the rounds put a0 in every model, so "a0 | ..." is entailed.
+    std::vector<Interpretation> rows;
+    rows.reserve(40);
+    for (int i = 0; i < 40; ++i) {
+      Interpretation m = Interpretation::FromIndex(
+          alphabet.size(), rng.Below(uint64_t{1} << alphabet.size()));
+      if (round % 2 == 0) m.Set(0, true);
+      rows.push_back(std::move(m));
+    }
+    const ModelSet set(alphabet, std::move(rows));
+    const Formula dnf = CanonicalDnf(set);
+    for (const size_t width : {size_t{16}, size_t{17}}) {
+      for (const size_t outside : {size_t{0}, size_t{5}}) {
+        std::vector<Var> vars(inside.begin(),
+                              inside.begin() + (width - outside));
+        vars.insert(vars.end(), foreign.begin(), foreign.begin() + outside);
+        // The minterm mentions every letter, so |V(q)| == width.
+        std::vector<Formula> minterm;
+        minterm.reserve(vars.size());
+        for (const Var v : vars) {
+          minterm.push_back(Formula::Literal(v, rng.Chance(0.5)));
+        }
+        const Formula body =
+            Formula::Or(RandomFormula(vars, 4, &rng), ConjoinAll(minterm));
+        for (const Formula& query : {body, Formula::Or(a0, body)}) {
+          ASSERT_EQ(query.Vars().size(), width);
+          const bool want = Entails(dnf, query);
+          (want ? entailed : refuted) += 1;
+          EXPECT_EQ(EntailedByModels(set, query), want)
+              << "round " << round << ", |V(q)| = " << width << ", "
+              << outside << " foreign: " << ToString(query, vocabulary);
+          EXPECT_TRUE(EntailedByModels(ModelSet(alphabet, {}), query));
+        }
+      }
+    }
+  }
+  EXPECT_GT(entailed, 0u);
+  EXPECT_GT(refuted, 0u);
+}
+
 TEST(ServicesTest, IntroExampleRevisionConclusion) {
   // Paper Section 1: T = g | b, P = !g; T & P |= !g & b.
   Vocabulary vocabulary;
