@@ -55,7 +55,7 @@ Corpus BuildCorpus(int n, const std::filesystem::path& dir) {
   Vocabulary vocabulary;
   std::vector<Var> vars;
   for (int j = 0; j < n; ++j) {
-    vars.push_back(vocabulary.Intern("x" + std::to_string(j)));
+    vars.push_back(vocabulary.InternIndexed("x", j));
   }
   Rng rng(100 + n);
   const Formula t =

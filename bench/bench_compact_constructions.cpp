@@ -63,7 +63,7 @@ void MeasureBoundedConstantFactor(obs::Report* report) {
   std::vector<Formula> letters;
   std::vector<Var> vars;
   for (int i = 0; i < 24; ++i) {
-    vars.push_back(vocabulary.Intern("x" + std::to_string(i)));
+    vars.push_back(vocabulary.InternIndexed("x", i));
     letters.push_back(Formula::Variable(vars.back()));
   }
   const Formula t = ConjoinAll(letters);
@@ -114,7 +114,7 @@ void MeasureCandidateAblation(obs::Report* report) {
     std::vector<Var> vars;
     std::vector<Formula> letters;
     for (int i = 0; i < n; ++i) {
-      vars.push_back(vocabulary.Intern("x" + std::to_string(i)));
+      vars.push_back(vocabulary.InternIndexed("x", i));
       letters.push_back(Formula::Variable(vars.back()));
     }
     const Alphabet alphabet(vars);
@@ -176,7 +176,7 @@ void BM_CandidateRevision(benchmark::State& state) {
   std::vector<Var> vars;
   std::vector<Formula> letters;
   for (int i = 0; i < n; ++i) {
-    vars.push_back(vocabulary.Intern("x" + std::to_string(i)));
+    vars.push_back(vocabulary.InternIndexed("x", i));
     letters.push_back(Formula::Variable(vars.back()));
   }
   const Alphabet alphabet(vars);

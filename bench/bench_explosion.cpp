@@ -30,7 +30,7 @@ struct NebelRow {
   uint64_t input_size = 0;
   size_t worlds = 0;
   uint64_t naive_size = 0;
-  std::string minimal;
+  std::string minimal = "-";  // QM-minimal size; "-" where not computed
 };
 
 NebelRow ComputeNebelRow(int m) {
@@ -43,7 +43,6 @@ NebelRow ComputeNebelRow(int m) {
   row.input_size = family.t.VarOccurrences() + family.p.VarOccurrences();
   row.worlds = worlds.size();
   row.naive_size = naive.VarOccurrences();
-  row.minimal = "-";
   if (2 * m <= 12) {
     const Alphabet alphabet(
         UnionOfVars(std::vector<Formula>{family.t.AsFormula(), family.p}));

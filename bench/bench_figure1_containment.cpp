@@ -45,7 +45,7 @@ void ReproduceFigure1(obs::Report* report) {
   Vocabulary vocabulary;
   std::vector<Var> vars;
   for (int i = 0; i < 5; ++i) {
-    vars.push_back(vocabulary.Intern("f" + std::to_string(i)));
+    vars.push_back(vocabulary.InternIndexed("f", i));
   }
   const Alphabet alphabet(vars);
   Rng rng(42);
@@ -161,7 +161,7 @@ void BM_ReviseModels(benchmark::State& state) {
   Vocabulary vocabulary;
   std::vector<Var> vars;
   for (int i = 0; i < n; ++i) {
-    vars.push_back(vocabulary.Intern("g" + std::to_string(i)));
+    vars.push_back(vocabulary.InternIndexed("g", i));
   }
   const Alphabet alphabet(vars);
   Rng rng(7);

@@ -213,7 +213,7 @@ void MeasureTruthTablePaths(obs::Report* report) {
   std::vector<Var> vars;
   std::vector<Formula> x;
   for (int i = 0; i < kLetters; ++i) {
-    vars.push_back(vocabulary.Intern("x" + std::to_string(i)));
+    vars.push_back(vocabulary.InternIndexed("x", i));
     x.push_back(Formula::Variable(vars.back()));
   }
   const Alphabet alphabet(vars);

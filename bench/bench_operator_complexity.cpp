@@ -36,7 +36,7 @@ struct Instance {
 
 void BuildInstance(int n, uint64_t seed, Instance* out) {
   for (int i = 0; i < n; ++i) {
-    out->vars.push_back(out->vocabulary.Intern("x" + std::to_string(i)));
+    out->vars.push_back(out->vocabulary.InternIndexed("x", i));
   }
   Rng rng(seed);
   // The theory is a SET of clauses (formula-based operators do real

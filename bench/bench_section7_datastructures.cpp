@@ -67,7 +67,7 @@ void CrossCheckCompactProjection(obs::Report* report) {
   Vocabulary vocabulary;
   std::vector<Var> vars;
   for (int i = 0; i < 6; ++i) {
-    vars.push_back(vocabulary.Intern("x" + std::to_string(i)));
+    vars.push_back(vocabulary.InternIndexed("x", i));
   }
   const Alphabet alphabet(vars);
   Rng rng(55);
@@ -139,7 +139,7 @@ void BM_BddFromFormula(benchmark::State& state) {
   Vocabulary vocabulary;
   std::vector<Var> vars;
   for (int i = 0; i < n; ++i) {
-    vars.push_back(vocabulary.Intern("x" + std::to_string(i)));
+    vars.push_back(vocabulary.InternIndexed("x", i));
   }
   Rng rng(8);
   const Formula f =

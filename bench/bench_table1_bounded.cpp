@@ -50,7 +50,7 @@ void BuildInstance(int n, int k, Vocabulary* vocabulary, Formula* t,
   std::vector<Formula> negated;
   for (int i = 0; i < n; ++i) {
     const Formula v =
-        Formula::Variable(vocabulary->Intern("x" + std::to_string(i)));
+        Formula::Variable(vocabulary->InternIndexed("x", i));
     letters.push_back(v);
     if (i < k) negated.push_back(Formula::Not(v));
   }
@@ -110,7 +110,7 @@ void ValidateEquivalence(obs::Report* report) {
   Vocabulary vocabulary;
   std::vector<Var> vars;
   for (int i = 0; i < 6; ++i) {
-    vars.push_back(vocabulary.Intern("v" + std::to_string(i)));
+    vars.push_back(vocabulary.InternIndexed("v", i));
   }
   const Alphabet alphabet(vars);
   const std::vector<Var> p_vars(vars.begin(), vars.begin() + 2);

@@ -66,7 +66,7 @@ void MeasureCompactSizes(obs::Report* report) {
               Vocabulary vocabulary;
               std::vector<Var> vars;
               for (int j = 0; j < n; ++j) {
-                vars.push_back(vocabulary.Intern("x" + std::to_string(j)));
+                vars.push_back(vocabulary.InternIndexed("x", j));
               }
               Rng rng(100 + n);
               Formula t;
@@ -127,7 +127,7 @@ void MeasureCompactSizes(obs::Report* report) {
     std::vector<Formula> neg;
     for (int i = 0; i < n; ++i) {
       const Formula v =
-          Formula::Variable(vocabulary.Intern("x" + std::to_string(i)));
+          Formula::Variable(vocabulary.InternIndexed("x", i));
       pos.push_back(v);
       if (i < n / 2) neg.push_back(Formula::Not(v));
     }
@@ -261,7 +261,7 @@ void BM_DalalCompact(benchmark::State& state) {
   Vocabulary vocabulary;
   std::vector<Var> vars;
   for (int i = 0; i < n; ++i) {
-    vars.push_back(vocabulary.Intern("x" + std::to_string(i)));
+    vars.push_back(vocabulary.InternIndexed("x", i));
   }
   Rng rng(5);
   Formula t = RandomClauses(vars, static_cast<size_t>(n * 1.5), 3, &rng);
@@ -278,7 +278,7 @@ void BM_WeberCompact(benchmark::State& state) {
   Vocabulary vocabulary;
   std::vector<Var> vars;
   for (int i = 0; i < n; ++i) {
-    vars.push_back(vocabulary.Intern("x" + std::to_string(i)));
+    vars.push_back(vocabulary.InternIndexed("x", i));
   }
   Rng rng(6);
   Formula t = RandomClauses(vars, static_cast<size_t>(n * 1.5), 3, &rng);

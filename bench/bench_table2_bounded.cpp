@@ -57,7 +57,7 @@ void MeasureBoundedIteratedSizes(obs::Report* report) {
   std::vector<Var> vars;
   std::vector<Formula> letters;
   for (int i = 0; i < 10; ++i) {
-    vars.push_back(vocabulary.Intern("x" + std::to_string(i)));
+    vars.push_back(vocabulary.InternIndexed("x", i));
     letters.push_back(Formula::Variable(vars.back()));
   }
   const Formula t = ConjoinAll(letters);
@@ -113,7 +113,7 @@ void ValidateQueryEquivalence(obs::Report* report) {
   Vocabulary vocabulary;
   std::vector<Var> vars;
   for (int i = 0; i < 5; ++i) {
-    vars.push_back(vocabulary.Intern("v" + std::to_string(i)));
+    vars.push_back(vocabulary.InternIndexed("v", i));
   }
   const Alphabet alphabet(vars);
   Rng rng(32);
@@ -217,7 +217,7 @@ void BM_BoundedIteratedStep(benchmark::State& state) {
   std::vector<Var> vars;
   std::vector<Formula> letters;
   for (int i = 0; i < 10; ++i) {
-    vars.push_back(vocabulary.Intern("x" + std::to_string(i)));
+    vars.push_back(vocabulary.InternIndexed("x", i));
     letters.push_back(Formula::Variable(vars.back()));
   }
   const Formula t = ConjoinAll(letters);

@@ -44,7 +44,7 @@ void MeasureIteratedSizes(obs::Report* report) {
   Vocabulary vocabulary;
   std::vector<Var> vars;
   for (int i = 0; i < 12; ++i) {
-    vars.push_back(vocabulary.Intern("x" + std::to_string(i)));
+    vars.push_back(vocabulary.InternIndexed("x", i));
   }
   Rng rng(21);
   Formula t;
@@ -99,7 +99,7 @@ void ValidateQueryEquivalence(obs::Report* report) {
   Vocabulary vocabulary;
   std::vector<Var> vars;
   for (int i = 0; i < 5; ++i) {
-    vars.push_back(vocabulary.Intern("q" + std::to_string(i)));
+    vars.push_back(vocabulary.InternIndexed("q", i));
   }
   const Alphabet alphabet(vars);
   Rng rng(22);
@@ -168,7 +168,7 @@ void BM_DalalIteratedChain(benchmark::State& state) {
   Vocabulary vocabulary;
   std::vector<Var> vars;
   for (int i = 0; i < 10; ++i) {
-    vars.push_back(vocabulary.Intern("x" + std::to_string(i)));
+    vars.push_back(vocabulary.InternIndexed("x", i));
   }
   Rng rng(23);
   Formula t;
@@ -189,7 +189,7 @@ void BM_WeberIteratedChain(benchmark::State& state) {
   Vocabulary vocabulary;
   std::vector<Var> vars;
   for (int i = 0; i < 10; ++i) {
-    vars.push_back(vocabulary.Intern("x" + std::to_string(i)));
+    vars.push_back(vocabulary.InternIndexed("x", i));
   }
   Rng rng(24);
   Formula t;

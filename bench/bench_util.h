@@ -9,21 +9,14 @@
 // written at exit (equivalent to REVISE_TRACE=chrome:<path>; the flag
 // wins when both are given).  With --explain=<path> per-operation cost
 // attribution (obs/profile.h) is enabled for the whole run and the
-// completed profile trees are written to <path> as JSON.  With
-// --statsz[=port] a live introspection server (obs/statsz.h) runs for
-// the duration of the bench (bare --statsz binds an ephemeral port,
-// announced on stderr); --statsz-linger=<seconds> keeps the process
-// alive that long after WriteIfRequested so harnesses can scrape it.
-// The constructor also honors REVISE_STATSZ and REVISE_WATCHDOG_S, so
-// every bench is observable without flags.
+// completed profile trees are written to <path> as JSON.  The
+// constructor also honors REVISE_WATCHDOG_S (obs/watchdog.h).
 
 #ifndef REVISE_BENCH_BENCH_UTIL_H_
 #define REVISE_BENCH_BENCH_UTIL_H_
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <thread>
@@ -35,7 +28,6 @@
 #include "logic/vocabulary.h"
 #include "obs/profile.h"
 #include "obs/report.h"
-#include "obs/statsz.h"
 #include "obs/trace.h"
 #include "obs/watchdog.h"
 #include "solve/model_cache.h"
@@ -79,34 +71,11 @@ class JsonReporter {
                  argv[i][10] != '\0') {
         explain_path_ = argv[i] + 10;
         obs::SetProfilingEnabled(true);
-      } else if (std::strcmp(argv[i], "--statsz") == 0) {
-        statsz_requested_ = true;  // ephemeral port
-      } else if (std::strncmp(argv[i], "--statsz=", 9) == 0) {
-        statsz_requested_ = true;
-        statsz_port_ = static_cast<uint16_t>(
-            std::strtoul(argv[i] + 9, nullptr, 10));
-      } else if (std::strncmp(argv[i], "--statsz-linger=", 16) == 0) {
-        linger_s_ = std::strtod(argv[i] + 16, nullptr);
       } else {
         argv[kept++] = argv[i];
       }
     }
     *argc = kept;
-    // Live introspection: the explicit flag wins; otherwise the REVISE_*
-    // activation variables apply, so every bench is scrapeable without
-    // code changes.  Start failures are stderr-only — observability must
-    // never fail the measurement run.
-    if (statsz_requested_) {
-      obs::StatszOptions statsz_options;
-      statsz_options.port = statsz_port_;
-      const Status statsz_status = obs::StartGlobalStatsz(statsz_options);
-      if (!statsz_status.ok()) {
-        std::fprintf(stderr, "revise: statsz failed to start: %s\n",
-                     statsz_status.ToString().c_str());
-      }
-    } else {
-      obs::StartStatszFromEnv();
-    }
     obs::StartStallWatchdogFromEnv();
     // Execution-environment metadata so reports from different machines
     // and REVISE_THREADS / REVISE_MODEL_CACHE settings stay comparable.
@@ -165,17 +134,7 @@ class JsonReporter {
         std::printf("\nJSON report written to %s\n", path_.c_str());
       }
     }
-    Linger();
     return ok;
-  }
-
-  // Keeps the process (and its statsz server) alive for the
-  // --statsz-linger window — the CI smoke job scrapes during it.
-  void Linger() const {
-    if (!(linger_s_ > 0.0)) return;
-    std::fprintf(stderr, "revise: lingering %.1fs for statsz scrapes\n",
-                 linger_s_);
-    std::this_thread::sleep_for(std::chrono::duration<double>(linger_s_));
   }
 
  private:
@@ -183,9 +142,6 @@ class JsonReporter {
   std::string path_;
   std::string explain_path_;
   bool requested_ = false;
-  bool statsz_requested_ = false;
-  uint16_t statsz_port_ = 0;
-  double linger_s_ = 0.0;
 };
 
 // A scaling knowledge base: n letters all true (the paper's hard cases
@@ -195,7 +151,7 @@ inline Theory CompleteTheory(int n, const std::string& prefix,
                              std::vector<Var>* vars_out = nullptr) {
   Theory t;
   for (int i = 0; i < n; ++i) {
-    const Var v = vocabulary->Intern(prefix + std::to_string(i));
+    const Var v = vocabulary->InternIndexed(prefix, i);
     if (vars_out != nullptr) vars_out->push_back(v);
     t.Add(Formula::Variable(v));
   }

@@ -18,10 +18,6 @@
 //                        cost attribution and print the EXPLAIN tree
 //                        (formulas with spaces: separate phi and mu
 //                        with ';')
-//   :statsz [port]       start the live introspection HTTP server
-//                        (obs/statsz.h) — no port binds an ephemeral
-//                        one, announced on stderr; also started
-//                        automatically when REVISE_STATSZ is set
 //   :save <path>         compile the current knowledge base into a
 //                        checksummed .rkb artifact (core/kb_artifact.h)
 //   :load <path>         replace the session with a knowledge base
@@ -37,7 +33,6 @@
 // Run scripted:  printf 'assert g|b\nrevise !g\nask b\n' | revise_repl
 
 #include <cstdio>
-#include <cstdlib>
 #include <iostream>
 #include <memory>
 #include <sstream>
@@ -47,7 +42,6 @@
 #include "core/librevise.h"
 #include "obs/memory.h"
 #include "obs/metrics.h"
-#include "obs/statsz.h"
 #include "obs/trace.h"
 #include "obs/watchdog.h"
 
@@ -90,7 +84,7 @@ class Repl {
       std::printf(
           "operator <name> | strategy <delayed|explicit|compact> |\n"
           "assert <f> | revise <f> | ask <f> | models | size | :stats | "
-          ":trace <path> | :explain <op> <phi> <mu> | :statsz [port] | "
+          ":trace <path> | :explain <op> <phi> <mu> | "
           ":save <path> | :load <path> | reset | quit\n");
       return true;
     }
@@ -274,29 +268,6 @@ class Repl {
       std::printf("%s", RenderExplanation(explanation).c_str());
       return true;
     }
-    if (command == ":statsz") {
-      if (obs::GlobalStatsz() != nullptr) {
-        std::printf("statsz already running on 127.0.0.1:%u\n",
-                    static_cast<unsigned>(obs::GlobalStatsz()->port()));
-        return true;
-      }
-      obs::StatszOptions options;
-      if (!rest.empty()) {
-        options.port =
-            static_cast<uint16_t>(std::strtoul(rest.c_str(), nullptr, 10));
-      }
-      const Status status = obs::StartGlobalStatsz(options);
-      if (!status.ok()) {
-        std::printf("statsz failed to start: %s\n",
-                    status.ToString().c_str());
-        return true;
-      }
-      std::printf("statsz listening on 127.0.0.1:%u — try "
-                  "curl http://127.0.0.1:%u/metrics\n",
-                  static_cast<unsigned>(obs::GlobalStatsz()->port()),
-                  static_cast<unsigned>(obs::GlobalStatsz()->port()));
-      return true;
-    }
     if (command == ":save") {
       if (rest.empty()) {
         std::printf("usage: :save <path>\n");
@@ -373,9 +344,7 @@ int main() {
   if (!revise::obs::TracingEnabled()) {
     revise::obs::SetTraceSink(revise::obs::TraceSink::kSilent);
   }
-  // Honor the live-introspection activation variables (REVISE_STATSZ,
-  // REVISE_WATCHDOG_S) like the benches do.
-  revise::obs::StartStatszFromEnv();
+  // Honor REVISE_WATCHDOG_S like the benches do.
   revise::obs::StartStallWatchdogFromEnv();
   Repl repl;
   repl.Run();

@@ -70,7 +70,7 @@ std::vector<Var> MakeVars(Vocabulary* vocabulary, int count) {
   std::vector<Var> vars;
   vars.reserve(static_cast<size_t>(count));
   for (int i = 0; i < count; ++i) {
-    vars.push_back(vocabulary->Intern("v" + std::to_string(i)));
+    vars.push_back(vocabulary->InternIndexed("v", i));
   }
   return vars;
 }

@@ -27,8 +27,8 @@ Theorem31Family::Theorem31Family(int n, Vocabulary* vocabulary)
     : tau(n, vocabulary) {
   const size_t m = tau.num_clauses();
   for (size_t j = 0; j < m; ++j) {
-    c.push_back(vocabulary->Intern("thm31_c" + std::to_string(j)));
-    d.push_back(vocabulary->Intern("thm31_d" + std::to_string(j)));
+    c.push_back(vocabulary->InternIndexed("thm31_c", j));
+    d.push_back(vocabulary->InternIndexed("thm31_d", j));
   }
   r = vocabulary->Intern("thm31_r");
 
@@ -159,10 +159,10 @@ Theorem36Family::Theorem36Family(int n, Vocabulary* vocabulary)
     : tau(n, vocabulary) {
   const size_t m = tau.num_clauses();
   for (int i = 1; i <= n; ++i) {
-    y.push_back(vocabulary->Intern("thm36_y" + std::to_string(i)));
+    y.push_back(vocabulary->InternIndexed("thm36_y", i));
   }
   for (size_t j = 0; j < m; ++j) {
-    c.push_back(vocabulary->Intern("thm36_c" + std::to_string(j)));
+    c.push_back(vocabulary->InternIndexed("thm36_c", j));
   }
 
   std::vector<Formula> xors;
@@ -226,8 +226,8 @@ Theorem41Family::Theorem41Family(int n, Vocabulary* vocabulary)
 NebelExplosionFamily::NebelExplosionFamily(int m, Vocabulary* vocabulary) {
   std::vector<Formula> xors;
   for (int i = 1; i <= m; ++i) {
-    x.push_back(vocabulary->Intern("neb_x" + std::to_string(i)));
-    y.push_back(vocabulary->Intern("neb_y" + std::to_string(i)));
+    x.push_back(vocabulary->InternIndexed("neb_x", i));
+    y.push_back(vocabulary->InternIndexed("neb_y", i));
     t.Add(Formula::Variable(x.back()));
     t.Add(Formula::Variable(y.back()));
     xors.push_back(Formula::Xor(Formula::Variable(x.back()),
@@ -239,9 +239,9 @@ NebelExplosionFamily::NebelExplosionFamily(int m, Vocabulary* vocabulary) {
 WinslettChainFamily::WinslettChainFamily(int m, Vocabulary* vocabulary) {
   REVISE_CHECK_GE(m, 1);
   for (int i = 1; i <= m; ++i) {
-    x.push_back(vocabulary->Intern("win_x" + std::to_string(i)));
-    y.push_back(vocabulary->Intern("win_y" + std::to_string(i)));
-    z.push_back(vocabulary->Intern("win_z" + std::to_string(i)));
+    x.push_back(vocabulary->InternIndexed("win_x", i));
+    y.push_back(vocabulary->InternIndexed("win_y", i));
+    z.push_back(vocabulary->InternIndexed("win_z", i));
   }
   for (int i = 0; i < m; ++i) {
     t.Add(Formula::Variable(x[i]));

@@ -1,7 +1,6 @@
 #include "hardness/tau.h"
 
 #include <algorithm>
-#include <string>
 
 #include "util/check.h"
 
@@ -11,7 +10,7 @@ TauMax::TauMax(int n, Vocabulary* vocabulary) : n_(n) {
   REVISE_CHECK_GE(n, 3);
   atoms_.reserve(n);
   for (int i = 1; i <= n; ++i) {
-    atoms_.push_back(vocabulary->Intern("b" + std::to_string(i)));
+    atoms_.push_back(vocabulary->InternIndexed("b", i));
   }
   // All C(n,3) variable triples, all 8 sign patterns.
   for (int i = 0; i < n; ++i) {

@@ -15,6 +15,12 @@ Var Vocabulary::Intern(std::string_view name) {
   return var;
 }
 
+Var Vocabulary::InternIndexed(std::string_view prefix, size_t index) {
+  std::string name(prefix);
+  name += std::to_string(index);
+  return Intern(name);
+}
+
 Var Vocabulary::Find(std::string_view name) const {
   auto it = index_.find(std::string(name));
   return it == index_.end() ? kInvalidVar : it->second;

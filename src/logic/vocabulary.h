@@ -36,6 +36,10 @@ class Vocabulary {
   // Returns the variable named `name`, creating it if needed.
   Var Intern(std::string_view name);
 
+  // Interns `prefix` followed by the decimal `index`: ("x", 3) is "x3",
+  // the naming of the generated families', benches' and tests' letters.
+  Var InternIndexed(std::string_view prefix, size_t index);
+
   // Returns the variable named `name`, or kInvalidVar if absent.
   Var Find(std::string_view name) const;
 

@@ -49,12 +49,6 @@ HistogramSnapshot Histogram::Snapshot() const {
     snapshot.p90 = ValueAtRank(cells, RankOf(0.90, bucket_total));
     snapshot.p99 = ValueAtRank(cells, RankOf(0.99, bucket_total));
   }
-  snapshot.bucket_total = bucket_total;
-  for (size_t i = 0; i < kNumBuckets; ++i) {
-    if (cells[i] != 0) {
-      snapshot.buckets.emplace_back(BucketUpperBound(i), cells[i]);
-    }
-  }
   return snapshot;
 }
 

@@ -25,7 +25,6 @@
 #include <cstdint>
 #include <string>
 #include <utility>
-#include <vector>
 
 namespace revise::obs {
 
@@ -38,14 +37,6 @@ struct HistogramSnapshot {
   uint64_t p50 = 0;
   uint64_t p90 = 0;
   uint64_t p99 = 0;
-  // Non-empty cells as (bucket upper bound, samples in that bucket), in
-  // increasing bound order — the raw material for the OpenMetrics
-  // cumulative `le` buckets (obs/openmetrics.h).  `bucket_total` is
-  // their sum; under concurrent writers it may lag `count` by in-flight
-  // Record()s, so exporters that must satisfy the OpenMetrics invariant
-  // (the +Inf bucket equals `_count`) use bucket_total for both.
-  std::vector<std::pair<uint64_t, uint64_t>> buckets;
-  uint64_t bucket_total = 0;
 
   double Mean() const {
     return count == 0 ? 0.0

@@ -56,9 +56,7 @@ ProcStatusSample ReadProcStatus() {
   return sample;
 }
 
-constexpr int64_t kDefaultCacheTtlNanos = 100'000'000;  // 100ms
-
-std::atomic<int64_t> g_cache_ttl_ns{kDefaultCacheTtlNanos};
+constexpr int64_t kCacheTtlNanos = 100'000'000;  // 100ms
 
 struct SampleCache {
   ProcStatusSample sample;
@@ -75,11 +73,10 @@ SampleCache& Cache() REVISE_REQUIRES(g_cache_mu) {
 // The cached pair, refreshed when older than the TTL.  Within one TTL
 // window every caller (PeakRssBytes, Rss) sees the same sample.
 ProcStatusSample CachedSample() {
-  const int64_t ttl_ns = g_cache_ttl_ns.load(std::memory_order_relaxed);
   const int64_t now_ns = SteadyNowNanos();
   util::MutexLock lock(g_cache_mu);
   SampleCache& cache = Cache();
-  if (!cache.valid || now_ns - cache.stamp_ns >= ttl_ns) {
+  if (!cache.valid || now_ns - cache.stamp_ns >= kCacheTtlNanos) {
     cache.sample = ReadProcStatus();
     cache.stamp_ns = now_ns;
     cache.valid = true;
@@ -104,16 +101,6 @@ RssBytes MemoryStats::Rss() {
   const uint64_t current = CachedSample().current_bytes;
   const uint64_t peak = PeakRssBytes();
   return {peak > current ? peak : current, current};
-}
-
-void MemoryStats::SetCacheTtlNanosForTesting(int64_t ttl_ns) {
-  g_cache_ttl_ns.store(ttl_ns < 0 ? kDefaultCacheTtlNanos : ttl_ns,
-                       std::memory_order_relaxed);
-}
-
-void MemoryStats::InvalidateCacheForTesting() {
-  util::MutexLock lock(g_cache_mu);
-  Cache().valid = false;
 }
 
 }  // namespace revise::obs

@@ -1,4 +1,4 @@
-// Process memory accounting for bench reports, the REPL, and /statusz.
+// Process memory accounting for bench reports, the REPL, and profiles.
 //
 // Two sources are combined:
 //   * the OS view — peak and current resident set size read from
@@ -12,15 +12,14 @@
 //     to owners.
 //
 // procfs reads are cached: one pass parses VmHWM and VmRSS together and
-// the pair is served from a short-TTL cache (default 100ms), so callers
-// that snapshot repeatedly — the statsz /metrics endpoint and per-row
-// bench reporting — cost one file parse per TTL window instead of one
-// per call (and always see a peak/current pair from the same instant).
-// Actual parses are counted in `mem.statm_reads`.
+// the pair is served from a 100ms cache, so callers that read it
+// repeatedly — ProfileScope reads the peak on entry and exit of every
+// scope — cost one file parse per window instead of one per call (and
+// always see a peak/current pair from the same instant).  Actual parses
+// are counted in `mem.statm_reads`.
 //
-// The report's, /metrics.json's and /statusz's `memory` section
-// (obs/report.h AppendRegistrySections) is Rss() plus the `mem.*` gauges
-// of the same registry snapshot.
+// The report's `memory` section (obs/report.h) is Rss() plus the `mem.*`
+// gauges of the same registry snapshot.
 
 #ifndef REVISE_OBS_MEMORY_H_
 #define REVISE_OBS_MEMORY_H_
@@ -41,12 +40,6 @@ class MemoryStats {
   // Peak and current resident set size (0 where unsupported), with the
   // peak clamped to at least the current value.
   static RssBytes Rss();
-
-  // Test hooks for the procfs cache.  TTL 0 re-reads on every call;
-  // negative restores the default.  Invalidate forces the next call to
-  // re-read regardless of TTL.
-  static void SetCacheTtlNanosForTesting(int64_t ttl_ns);
-  static void InvalidateCacheForTesting();
 };
 
 }  // namespace revise::obs

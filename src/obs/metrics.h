@@ -118,13 +118,13 @@ inline int64_t SteadyNowNanos() {
 
 // Steady-clock nanoseconds captured during static initialization — the
 // monotonic process-start anchor shared by the report manifest
-// (schema v2.2), /statusz, and the `obs.uptime_seconds` gauge, so live
-// and offline views of uptime agree.
+// (schema v2.2) and the `obs.uptime_seconds` gauge, so both views of
+// uptime agree.
 int64_t ProcessStartNanos();
 double ProcessUptimeSeconds();
 
-// getpid(), or 0 where unsupported: the pid in /statusz, /tracez and the
-// crash/stall dump file names.
+// getpid(), or 0 where unsupported: the pid in the flight-recorder JSON
+// and the crash/stall dump file names.
 int ProcessId();
 
 // Refreshes `obs.uptime_seconds` from ProcessStartNanos (gauges are

@@ -56,6 +56,10 @@ Json BuildManifest() {
   return manifest;
 }
 
+namespace {
+
+// Snapshots the global registry once and appends the "counters",
+// "gauges", "histograms" and "memory" sections to `doc`, in that order.
 void AppendRegistrySections(Json* doc) {
   const RegistrySnapshot snapshot = Registry::Global().Snapshot();
   Json counters = Json::MakeObject();
@@ -89,6 +93,8 @@ void AppendRegistrySections(Json* doc) {
   (*doc)["histograms"] = std::move(histograms);
   (*doc)["memory"] = std::move(memory);
 }
+
+}  // namespace
 
 void Report::SetMeta(std::string_view key, Json value) {
   meta_[key] = std::move(value);

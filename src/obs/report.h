@@ -41,8 +41,8 @@
 // span thread ids; v2.1 added span ids/parent ids and the profiles
 // section (additive, so `schema_version` stays 2 and v2 readers parse
 // v2.1 reports); v2.2 added the manifest's process_start_ns (the
-// steady-clock anchor shared with /statusz and `obs.uptime_seconds`)
-// and uptime_seconds fields; v2 readers (tools/revise_benchdiff.cc)
+// steady-clock anchor shared with `obs.uptime_seconds`) and
+// uptime_seconds fields; v2 readers (tools/revise_benchdiff.cc)
 // accept all.
 
 #ifndef REVISE_OBS_REPORT_H_
@@ -65,14 +65,6 @@ inline constexpr int kSchemaMinor = 2;
 // environment read at call time.
 Json BuildManifest();
 
-// Snapshots the global registry once and appends the "counters",
-// "gauges", "histograms" and "memory" sections to `doc`, in that order.
-// The memory section is the process RSS (obs/memory.h) plus the `mem.*`
-// gauges of the same snapshot.  Reports, /metrics.json and /statusz all
-// take their registry sections from here; OpenMetrics text
-// (obs/openmetrics.h) is the only other rendering of the registry.
-void AppendRegistrySections(Json* doc);
-
 class Report {
  public:
   explicit Report(std::string_view name) : name_(name) {}
@@ -93,7 +85,9 @@ class Report {
                  std::string_view verdict = "");
 
   // Assembles the document, snapshotting the global registry and span
-  // buffer at call time.
+  // buffer at call time.  The "counters", "gauges", "histograms" and
+  // "memory" sections come from one registry snapshot; the memory
+  // section is the process RSS (obs/memory.h) plus the `mem.*` gauges.
   Json ToJson() const;
 
   // Serializes ToJson() pretty-printed to `path` through

@@ -1,5 +1,7 @@
 #include "revision/operator.h"
 
+#include <string_view>
+
 #include "model/canonical.h"
 #include "obs/metrics.h"
 #include "obs/flight_recorder.h"
@@ -82,9 +84,17 @@ ModelSet WeberOperator::ReviseModelSets(const ModelSet& mt,
 
 namespace {
 
-// Formula-based operators funnel their result cardinalities into the
-// same distribution the model-based kernels feed (model_based.cc).
-ModelSet RecordRevisionResult(ModelSet result) {
+// The model set of a formula-based operator: `build` constructs the
+// revised formula inside the operator's profile node and in-flight
+// registration, and the result cardinality feeds the same distribution
+// the model-based kernels feed (model_based.cc).
+template <typename BuildFormula>
+ModelSet FormulaBasedModels(std::string_view name, const Alphabet& alphabet,
+                            const BuildFormula& build) {
+  obs::ProfileScope profile("revise.", name);
+  obs::FlightOpScope flight(name);
+  REVISE_OBS_COUNTER("revise.operations").Increment();
+  ModelSet result = EnumerateModels(build(), alphabet);
   REVISE_OBS_HISTOGRAM("revise.result_models")
       .Record(static_cast<uint64_t>(result.size()));
   return result;
@@ -94,10 +104,8 @@ ModelSet RecordRevisionResult(ModelSet result) {
 
 ModelSet GfuvOperator::ReviseModels(const Theory& t, const Formula& p,
                                     const Alphabet& alphabet) const {
-  obs::ProfileScope profile("revise.", name());
-  obs::FlightOpScope flight(name());
-  REVISE_OBS_COUNTER("revise.operations").Increment();
-  return RecordRevisionResult(EnumerateModels(ReviseFormula(t, p), alphabet));
+  return FormulaBasedModels(name(), alphabet,
+                            [&] { return ReviseFormula(t, p); });
 }
 
 Formula GfuvOperator::ReviseFormula(const Theory& t,
@@ -107,10 +115,8 @@ Formula GfuvOperator::ReviseFormula(const Theory& t,
 
 ModelSet WidtioOperator::ReviseModels(const Theory& t, const Formula& p,
                                       const Alphabet& alphabet) const {
-  obs::ProfileScope profile("revise.", name());
-  obs::FlightOpScope flight(name());
-  REVISE_OBS_COUNTER("revise.operations").Increment();
-  return RecordRevisionResult(EnumerateModels(ReviseFormula(t, p), alphabet));
+  return FormulaBasedModels(name(), alphabet,
+                            [&] { return ReviseFormula(t, p); });
 }
 
 Formula WidtioOperator::ReviseFormula(const Theory& t,
@@ -140,11 +146,8 @@ Formula NebelOperator::ReviseFormula(const Theory& t,
 ModelSet NebelOperator::ReviseModels(const std::vector<Theory>& classes,
                                      const Formula& p,
                                      const Alphabet& alphabet) const {
-  obs::ProfileScope profile("revise.", name());
-  obs::FlightOpScope flight(name());
-  REVISE_OBS_COUNTER("revise.operations").Increment();
-  return RecordRevisionResult(
-      EnumerateModels(NebelFormula(classes, p), alphabet));
+  return FormulaBasedModels(name(), alphabet,
+                            [&] { return NebelFormula(classes, p); });
 }
 
 Formula NebelOperator::ReviseFormula(const std::vector<Theory>& classes,

@@ -60,7 +60,7 @@ class Sweep {
         Vocabulary* vocabulary)
       : op_(op), rng_(options.seed), trials_(options.trials) {
     for (int i = 0; i < options.num_vars; ++i) {
-      vars_.push_back(vocabulary->Intern("km" + std::to_string(i)));
+      vars_.push_back(vocabulary->InternIndexed("km", i));
     }
     alphabet_ = Alphabet(vars_);
   }

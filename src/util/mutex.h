@@ -75,10 +75,9 @@ class CondVar {
 
   void Wait(Mutex& mu) REVISE_REQUIRES(mu) { cv_.wait(mu.mu_); }
 
-  // Timed wait for the service loops (statsz accept queue, the stall
-  // watchdog): returns false on timeout, true when notified (or woken
-  // spuriously — callers re-test their predicate in a `while` loop
-  // either way, exactly as with Wait).
+  // Timed wait for service loops (the stall watchdog): returns false on
+  // timeout, true when notified (or woken spuriously — callers re-test
+  // their predicate in a `while` loop either way, exactly as with Wait).
   bool WaitFor(Mutex& mu, int64_t timeout_ms) REVISE_REQUIRES(mu) {
     return cv_.wait_for(mu.mu_, std::chrono::milliseconds(timeout_ms)) ==
            std::cv_status::no_timeout;

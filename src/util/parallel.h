@@ -111,13 +111,13 @@ class ThreadPool {
   bool stop_ REVISE_GUARDED_BY(mu_) = false;
 };
 
-// A named, joinable thread for long-lived service loops — the statsz
-// accept/worker threads and the stall watchdog.  The deterministic
-// ThreadPool above is for bounded compute batches that a caller blocks
-// on; BackgroundThread is the sanctioned home for work that outlives a
-// call (the raw-thread lint rule forbids std::thread anywhere else).  Join() blocks until the function
-// returns; the destructor joins too, so the owner's teardown must first
-// make the loop exit (close a socket, set a stop flag).
+// A named, joinable thread for long-lived service loops such as the
+// stall watchdog.  The deterministic ThreadPool above is for bounded
+// compute batches that a caller blocks on; BackgroundThread is the
+// sanctioned home for work that outlives a call (the raw-thread lint
+// rule forbids std::thread anywhere else).  Join() blocks until the
+// function returns; the destructor joins too, so the owner's teardown
+// must first make the loop exit (set a stop flag).
 class BackgroundThread {
  public:
   BackgroundThread() = default;

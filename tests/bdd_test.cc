@@ -39,7 +39,7 @@ class BddRandomTest : public ::testing::TestWithParam<int> {
  protected:
   void SetUp() override {
     for (int i = 0; i < 5; ++i) {
-      vars_.push_back(vocabulary_.Intern("b" + std::to_string(i)));
+      vars_.push_back(vocabulary_.InternIndexed("b", i));
     }
     alphabet_ = Alphabet(vars_);
   }
@@ -125,7 +125,7 @@ TEST(BddTest, XorChainHasLinearNodeCount) {
     std::vector<Var> vars;
     Formula chain = Formula::False();
     for (int i = 0; i < n; ++i) {
-      const Var v = vocabulary.Intern("x" + std::to_string(i));
+      const Var v = vocabulary.InternIndexed("x", i);
       vars.push_back(v);
       chain = Formula::Xor(chain, Formula::Variable(v));
     }
@@ -144,7 +144,7 @@ TEST(BddSection7Test, DalalCompactProjectsToReferenceRevision) {
   Vocabulary vocabulary;
   std::vector<Var> vars;
   for (int i = 0; i < 4; ++i) {
-    vars.push_back(vocabulary.Intern("s" + std::to_string(i)));
+    vars.push_back(vocabulary.InternIndexed("s", i));
   }
   const Alphabet alphabet(vars);
   Rng rng(77);
@@ -195,8 +195,8 @@ TEST(BddTest, VariableOrderChangesNodeCountNotModelCount) {
   std::vector<Var> y;
   std::vector<Formula> terms;
   for (int i = 0; i < 3; ++i) {
-    x.push_back(vocabulary.Intern("ox" + std::to_string(i)));
-    y.push_back(vocabulary.Intern("oy" + std::to_string(i)));
+    x.push_back(vocabulary.InternIndexed("ox", i));
+    y.push_back(vocabulary.InternIndexed("oy", i));
     terms.push_back(Formula::And(Formula::Variable(x.back()),
                                  Formula::Variable(y.back())));
   }

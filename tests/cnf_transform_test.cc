@@ -39,7 +39,7 @@ class CnfTransformRandomTest : public ::testing::TestWithParam<int> {
  protected:
   void SetUp() override {
     for (int i = 0; i < 4; ++i) {
-      vars_.push_back(vocabulary_.Intern("cf" + std::to_string(i)));
+      vars_.push_back(vocabulary_.InternIndexed("cf", i));
     }
     alphabet_ = Alphabet(vars_);
   }
@@ -96,7 +96,7 @@ TEST(NaiveCnfTest, ExplodesOnXorChainAndReportsBudget) {
   Formula chain = Formula::False();
   for (int i = 0; i < 12; ++i) {
     chain = Formula::Xor(
-        chain, Formula::Variable(vocabulary.Intern("p" + std::to_string(i))));
+        chain, Formula::Variable(vocabulary.InternIndexed("p", i)));
   }
   const StatusOr<Formula> limited = NaiveCnf(chain, 1000);
   EXPECT_FALSE(limited.ok());

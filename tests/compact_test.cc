@@ -35,7 +35,7 @@ TEST_P(CounterCircuitTest, GeqOutputsMatchPopcount) {
   std::vector<Var> inputs_vars;
   std::vector<Formula> inputs;
   for (int i = 0; i < n; ++i) {
-    const Var v = vocabulary.Intern("i" + std::to_string(i));
+    const Var v = vocabulary.InternIndexed("i", i);
     inputs_vars.push_back(v);
     inputs.push_back(Formula::Variable(v));
   }
@@ -78,8 +78,8 @@ TEST_P(ExaTest, TrueIffHammingDistanceExactlyK) {
   std::vector<Var> x;
   std::vector<Var> y;
   for (int i = 0; i < n; ++i) {
-    x.push_back(vocabulary.Intern("x" + std::to_string(i)));
-    y.push_back(vocabulary.Intern("y" + std::to_string(i)));
+    x.push_back(vocabulary.InternIndexed("x", i));
+    y.push_back(vocabulary.InternIndexed("y", i));
   }
   const Formula exa = ExaFormula(k, x, y, &vocabulary);
   // Project models onto X ∪ Y; expect exactly the pairs at distance k.
@@ -133,8 +133,8 @@ TEST(CountLessThanTest, ComparesPopcounts) {
   std::vector<Formula> a;
   std::vector<Formula> b;
   for (int i = 0; i < 3; ++i) {
-    a_vars.push_back(vocabulary.Intern("a" + std::to_string(i)));
-    b_vars.push_back(vocabulary.Intern("b" + std::to_string(i)));
+    a_vars.push_back(vocabulary.InternIndexed("a", i));
+    b_vars.push_back(vocabulary.InternIndexed("b", i));
     a.push_back(Formula::Variable(a_vars.back()));
     b.push_back(Formula::Variable(b_vars.back()));
   }
@@ -159,7 +159,7 @@ class SingleCompactRandomTest : public ::testing::TestWithParam<int> {
  protected:
   void SetUp() override {
     for (int i = 0; i < 5; ++i) {
-      vars_.push_back(vocabulary_.Intern("v" + std::to_string(i)));
+      vars_.push_back(vocabulary_.InternIndexed("v", i));
     }
     alphabet_ = Alphabet(vars_);
   }
@@ -328,7 +328,7 @@ TEST_P(CompactQueryTest, MatchesReferenceEntailment) {
   Vocabulary vocabulary;
   std::vector<Var> vars;
   for (int i = 0; i < 4; ++i) {
-    vars.push_back(vocabulary.Intern("cq" + std::to_string(i)));
+    vars.push_back(vocabulary.InternIndexed("cq", i));
   }
   const Alphabet alphabet(vars);
   Rng rng(GetParam());
@@ -352,7 +352,7 @@ TEST_P(CompactQueryTest, BinarySearchDistanceMatchesLinear) {
   Vocabulary vocabulary;
   std::vector<Var> vars;
   for (int i = 0; i < 6; ++i) {
-    vars.push_back(vocabulary.Intern("bs" + std::to_string(i)));
+    vars.push_back(vocabulary.InternIndexed("bs", i));
   }
   const Alphabet alphabet(vars);
   Rng rng(GetParam() + 70);
@@ -392,7 +392,7 @@ class IteratedCompactTest : public ::testing::TestWithParam<int> {
  protected:
   void SetUp() override {
     for (int i = 0; i < 5; ++i) {
-      vars_.push_back(vocabulary_.Intern("v" + std::to_string(i)));
+      vars_.push_back(vocabulary_.InternIndexed("v", i));
     }
     alphabet_ = Alphabet(vars_);
   }
@@ -521,7 +521,7 @@ TEST(IteratedCompactTest2, LinearGrowthOfCompactChains) {
   Vocabulary vocabulary;
   std::vector<Var> vars;
   for (int i = 0; i < 6; ++i) {
-    vars.push_back(vocabulary.Intern("x" + std::to_string(i)));
+    vars.push_back(vocabulary.InternIndexed("x", i));
   }
   std::vector<Formula> all;
   for (const Var v : vars) all.push_back(Formula::Variable(v));

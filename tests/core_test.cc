@@ -107,7 +107,7 @@ TEST_P(StrategyAgreementTest, AllStrategiesAnswerQueriesIdentically) {
   Vocabulary vocabulary;
   std::vector<Var> vars;
   for (int i = 0; i < 4; ++i) {
-    vars.push_back(vocabulary.Intern("k" + std::to_string(i)));
+    vars.push_back(vocabulary.InternIndexed("k", i));
   }
   const Alphabet alphabet(vars);
   // Bounded-alphabet updates so the compact steps apply to all operators.
@@ -487,9 +487,9 @@ TEST(KnowledgeBaseTest, StoredSizeReflectsStrategy) {
   std::vector<Formula> xors;
   for (int i = 0; i < 4; ++i) {
     const Formula x =
-        Formula::Variable(vocabulary.Intern("sx" + std::to_string(i)));
+        Formula::Variable(vocabulary.InternIndexed("sx", i));
     const Formula y =
-        Formula::Variable(vocabulary.Intern("sy" + std::to_string(i)));
+        Formula::Variable(vocabulary.InternIndexed("sy", i));
     t.Add(x);
     t.Add(y);
     xors.push_back(Formula::Xor(x, y));
@@ -515,7 +515,7 @@ TEST(KnowledgeBaseTest, CompactStaysPolynomialWhereExplicitExplodes) {
   std::vector<Formula> letters;
   for (int i = 0; i < 6; ++i) {
     letters.push_back(
-        Formula::Variable(vocabulary.Intern("c" + std::to_string(i))));
+        Formula::Variable(vocabulary.InternIndexed("c", i)));
   }
   const Theory t({ConjoinAll(letters)});
   KnowledgeBase compact = MakeKb(t, OperatorById(OperatorId::kDalal),
@@ -808,7 +808,7 @@ TEST(IteratedPropertyTest, RepeatedRevisionIsIdempotent) {
   Vocabulary vocabulary;
   std::vector<Var> vars;
   for (int i = 0; i < 4; ++i) {
-    vars.push_back(vocabulary.Intern("ip" + std::to_string(i)));
+    vars.push_back(vocabulary.InternIndexed("ip", i));
   }
   const Alphabet alphabet(vars);
   Rng rng(31337);

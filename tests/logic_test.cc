@@ -289,7 +289,7 @@ TEST(TruthTableTest, MatchesEvaluateOnEveryAssignment) {
     std::vector<Var> letters;
     letters.reserve(k);
     for (size_t j = 0; j < k; ++j) {
-      letters.push_back(vocabulary.Intern("x" + std::to_string(j)));
+      letters.push_back(vocabulary.InternIndexed("x", j));
     }
     // List order is not alphabet order.
     std::reverse(letters.begin(), letters.end());

@@ -77,7 +77,7 @@ TEST_P(RandomMinimizeTest, MinimizedDnfAndCnfAreEquivalentToInput) {
   Vocabulary vocabulary;
   std::vector<Var> vars;
   for (int i = 0; i < 4; ++i) {
-    vars.push_back(vocabulary.Intern("m" + std::to_string(i)));
+    vars.push_back(vocabulary.InternIndexed("m", i));
   }
   const Alphabet alphabet(vars);
   Rng rng(GetParam());

@@ -535,11 +535,10 @@ TEST(MemoryTest, PeakRssIsPositiveAndMonotone) {
 }
 
 TEST(MemoryTest, ToJsonCarriesRssAndByteGauges) {
-  // The memory section every JSON view shares (AppendRegistrySections).
+  // The report's memory section: process RSS plus the `mem.*` gauges.
   REVISE_OBS_GAUGE("mem.test_bytes").Set(123);
-  Json sections = Json::MakeObject();
-  obs::AppendRegistrySections(&sections);
-  const Json& j = *sections.Find("memory");
+  const Json doc = obs::Report("memory").ToJson();
+  const Json& j = *doc.Find("memory");
   ASSERT_TRUE(j.Has("peak_rss_bytes"));
   ASSERT_TRUE(j.Has("current_rss_bytes"));
   ASSERT_TRUE(j.Has("mem.test_bytes"));
@@ -684,6 +683,8 @@ TEST(ReportTest, ToJsonMatchesSchema) {
   ASSERT_EQ(series.at(0).Find("values")->size(), 2u);
 
   EXPECT_TRUE(j.Find("counters")->Has("test.report_counter"));
+  // Building the manifest refreshes the uptime gauge before the snapshot.
+  EXPECT_TRUE(j.Find("gauges")->Has("obs.uptime_seconds"));
 
   // Histograms carry the summary statistics, not raw buckets.
   const Json* hist = j.Find("histograms")->Find("test.report_hist");

@@ -469,8 +469,7 @@ TEST(ModelCacheTest, LimitedEnumerationsBypassTheCache) {
 Formula RandomFormula(size_t vars, size_t depth, Vocabulary* vocabulary,
                       Rng* rng) {
   if (depth == 0 || rng->Below(4) == 0) {
-    const std::string name = "v" + std::to_string(rng->Below(vars));
-    return Formula::Variable(vocabulary->Intern(name));
+    return Formula::Variable(vocabulary->InternIndexed("v", rng->Below(vars)));
   }
   switch (rng->Below(4)) {
     case 0:
@@ -493,7 +492,7 @@ TEST(QueryEquivalentTest, MatchesBruteForceProjectionComparison) {
   constexpr size_t kVars = 6;
   std::vector<Var> all_vars;
   for (size_t i = 0; i < kVars; ++i) {
-    all_vars.push_back(vocabulary.Intern("v" + std::to_string(i)));
+    all_vars.push_back(vocabulary.InternIndexed("v", i));
   }
   const Alphabet full(all_vars);
   // Query alphabet covers only the first four letters, so formulas

@@ -32,7 +32,7 @@ class PostulateTest : public ::testing::TestWithParam<int> {
  protected:
   void SetUp() override {
     for (int i = 0; i < 4; ++i) {
-      vars_.push_back(vocabulary_.Intern("p" + std::to_string(i)));
+      vars_.push_back(vocabulary_.InternIndexed("p", i));
     }
     alphabet_ = Alphabet(vars_);
   }

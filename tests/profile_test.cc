@@ -197,7 +197,7 @@ TEST(ExplainTest, ExclusiveCostsSumToGlobalCounterDeltasAtOneThread) {
   Theory theory;
   for (int i = 0; i < 6; ++i) {
     theory.Add(
-        Formula::Variable(vocabulary.Intern("x" + std::to_string(i))));
+        Formula::Variable(vocabulary.InternIndexed("x", i)));
   }
   StatusOr<Formula> mu = Parse("!(x0 & x1) | !x2", &vocabulary);
   ASSERT_TRUE(mu.ok()) << mu.status().ToString();

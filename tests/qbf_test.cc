@@ -78,8 +78,8 @@ TEST_P(QbfRandomTest, AgreesWithBruteForce) {
   std::vector<Var> xs;
   std::vector<Var> ys;
   for (int i = 0; i < 3; ++i) {
-    xs.push_back(vocabulary.Intern("qx" + std::to_string(i)));
-    ys.push_back(vocabulary.Intern("qy" + std::to_string(i)));
+    xs.push_back(vocabulary.InternIndexed("qx", i));
+    ys.push_back(vocabulary.InternIndexed("qy", i));
   }
   std::vector<Var> all = xs;
   all.insert(all.end(), ys.begin(), ys.end());
@@ -114,7 +114,7 @@ TEST_P(QbfRandomTest, QueryEquivalenceAgreesWithEnumeration) {
   Vocabulary vocabulary;
   std::vector<Var> vars;
   for (int i = 0; i < 4; ++i) {
-    vars.push_back(vocabulary.Intern("qe" + std::to_string(i)));
+    vars.push_back(vocabulary.InternIndexed("qe", i));
   }
   const Alphabet alphabet(vars);
   Rng rng(GetParam() + 500);
@@ -140,7 +140,7 @@ TEST(QbfTest, CertifiesDalalCompactQueryEquivalence) {
   Vocabulary vocabulary;
   std::vector<Var> vars;
   for (int i = 0; i < 5; ++i) {
-    vars.push_back(vocabulary.Intern("dc" + std::to_string(i)));
+    vars.push_back(vocabulary.InternIndexed("dc", i));
   }
   const Alphabet alphabet(vars);
   Rng rng(41);

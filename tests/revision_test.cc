@@ -243,9 +243,9 @@ TEST(FormulaBasedTest, NebelExampleExponentialWorlds) {
   const int m = 3;
   for (int i = 0; i < m; ++i) {
     const Formula x =
-        Formula::Variable(vocabulary.Intern("x" + std::to_string(i)));
+        Formula::Variable(vocabulary.InternIndexed("x", i));
     const Formula y =
-        Formula::Variable(vocabulary.Intern("y" + std::to_string(i)));
+        Formula::Variable(vocabulary.InternIndexed("y", i));
     t.Add(x);
     t.Add(y);
     equivalences.push_back(Formula::Xor(x, y));
@@ -320,7 +320,7 @@ class RandomRevisionTest
  protected:
   void SetUp() override {
     for (int i = 0; i < GetParam().num_vars; ++i) {
-      vars_.push_back(vocabulary_.Intern("v" + std::to_string(i)));
+      vars_.push_back(vocabulary_.InternIndexed("v", i));
     }
     alphabet_ = Alphabet(vars_);
   }
@@ -509,7 +509,7 @@ TEST(CandidatePathTest, MultiWordTablesMatchPureSetSemantics) {
     std::vector<Var> vp;
     vp.reserve(width);
     for (size_t i = 0; i < width; ++i) {
-      vp.push_back(vocabulary.Intern("p" + std::to_string(i)));
+      vp.push_back(vocabulary.InternIndexed("p", i));
     }
     std::vector<Var> all = vp;
     all.push_back(vocabulary.Intern("u"));
@@ -611,7 +611,7 @@ TEST(EntailmentTest, QueriesWithTwentyFourFreshLettersAreAnswered) {
   std::vector<Formula> fresh;
   for (int i = 0; i < 24; ++i) {
     fresh.push_back(
-        Formula::Variable(vocabulary.Intern("w" + std::to_string(i))));
+        Formula::Variable(vocabulary.InternIndexed("w", i)));
   }
   const Formula all = ConjoinAll(fresh);
   const Formula any = DisjoinAll(fresh);
@@ -689,7 +689,7 @@ TEST(IteratedTest, SingleStepMatchesPlainRevision) {
   Vocabulary vocabulary;
   std::vector<Var> vars;
   for (int i = 0; i < 4; ++i) {
-    vars.push_back(vocabulary.Intern("w" + std::to_string(i)));
+    vars.push_back(vocabulary.InternIndexed("w", i));
   }
   Rng rng(77);
   const Alphabet alphabet(vars);
@@ -737,7 +737,7 @@ TEST(IteratedTest, IteratedFormulasAgreeWithIteratedModels) {
   Vocabulary vocabulary;
   std::vector<Var> vars;
   for (int i = 0; i < 4; ++i) {
-    vars.push_back(vocabulary.Intern("u" + std::to_string(i)));
+    vars.push_back(vocabulary.InternIndexed("u", i));
   }
   const Alphabet alphabet(vars);
   Rng rng(31);

@@ -68,7 +68,7 @@ TEST(ServicesTest, EntailedByModelsMatchesCanonicalDnfEntailment) {
   std::vector<Var> inside;
   std::vector<Var> all;
   for (int i = 0; i < 6; ++i) {
-    const Var v = vocabulary.Intern("e" + std::to_string(i));
+    const Var v = vocabulary.InternIndexed("e", i);
     if (i < 4) inside.push_back(v);
     all.push_back(v);
   }
@@ -103,10 +103,10 @@ TEST(ServicesTest, EntailedByModelsMatchesDnfEntailmentAtTheTableWidth) {
   inside.reserve(17);
   foreign.reserve(6);
   for (int i = 0; i < 17; ++i) {
-    inside.push_back(vocabulary.Intern("a" + std::to_string(i)));
+    inside.push_back(vocabulary.InternIndexed("a", i));
   }
   for (int i = 0; i < 6; ++i) {
-    foreign.push_back(vocabulary.Intern("y" + std::to_string(i)));
+    foreign.push_back(vocabulary.InternIndexed("y", i));
   }
   const Alphabet alphabet(inside);
   const Formula a0 = Formula::Variable(inside[0]);

@@ -44,12 +44,12 @@ foreach(rule unlimited-enumerate raw-thread raw-mutex include-guard
   expect_output("[${rule}]" "bad tree rule coverage")
 endforeach()
 # The obs-name rule also covers flight-recorder event names and profile
-# counter keys, and rejects names that would not survive OpenMetrics
-# sanitization.
+# counter keys, and rejects names that do not start with a lowercase
+# letter.
 expect_output("CacheEvict" "flight event name coverage")
 expect_output("sat.Solves" "profile key coverage")
-expect_output("9lives.retries" "openmetrics sanitization coverage")
-expect_output("_sat.solves" "openmetrics leading underscore coverage")
+expect_output("9lives.retries" "leading digit coverage")
+expect_output("_sat.solves" "leading underscore coverage")
 
 # 3. Bad tree passes with a full allowlist.
 run_lint(--root=${FIXTURES}/tree_bad

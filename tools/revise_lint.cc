@@ -38,14 +38,12 @@
 //                        REVISE_FLIGHT_EVENT, or REVISE_PROFILE_KEY call
 //                        whose literal name does not follow the
 //                        `subsystem.metric` convention (lowercase
-//                        [a-z0-9_] segments joined by '.').  Instrument
+//                        [a-z0-9_] segments joined by '.', starting with
+//                        a lowercase letter).  Instrument
 //                        names key the JSON reports, profile counter keys
 //                        key the EXPLAIN trees, and flight-recorder event
 //                        names key the crash dumps; a stray spelling
-//                        silently forks a metric.  Names must also start
-//                        with a lowercase letter so the OpenMetrics
-//                        exporter's '.'-to-'_' sanitization yields a
-//                        spec-valid family name.  Non-literal arguments
+//                        silently forks a metric.  Non-literal arguments
 //                        (the macro definitions, forwarded identifiers)
 //                        are skipped.
 //   hot-kernel           REVISE_CHECK* (the always-on flavor) in a file
@@ -143,8 +141,9 @@ std::string StripCommentsAndLiterals(const std::string& text) {
           // R"delim( ... )delim"
           size_t open = text.find('(', i + 2);
           if (open == std::string::npos) break;
-          raw_delimiter =
-              ")" + text.substr(i + 2, open - (i + 2)) + "\"";
+          raw_delimiter = ")";
+          raw_delimiter.append(text, i + 2, open - (i + 2));
+          raw_delimiter += '"';
           state = State::kRawString;
           i = open;
         } else if (c == '"') {
@@ -488,8 +487,9 @@ void CheckCheckSideEffect(const std::string& rel_path,
 // --- rule: obs-name -----------------------------------------------------
 
 // `subsystem.metric`: lowercase [a-z0-9_] segments, at least one dot, no
-// empty segments.
+// empty segments, and a lowercase letter first.
 bool IsValidInstrumentName(std::string_view name) {
+  if (name.empty() || name[0] < 'a' || name[0] > 'z') return false;
   bool saw_dot = false;
   bool segment_empty = true;
   for (const char c : name) {
@@ -553,17 +553,8 @@ void CheckObsName(const std::string& rel_path, const std::string& code,
             {rel_path, LineOfOffset(code, pos), "obs-name",
              "instrument name \"" + std::string(name) +
                  "\" violates the subsystem.metric convention (lowercase "
-                 "[a-z0-9_] segments joined by '.')"});
-      } else if ((name[0] >= '0' && name[0] <= '9') || name[0] == '_') {
-        // The OpenMetrics exporter (obs/openmetrics.h) maps '.' to '_';
-        // the result must match [a-zA-Z_][a-zA-Z0-9_]* and we reserve
-        // leading underscores for the spec's own suffix machinery, so a
-        // sanitized family must start with a letter.
-        findings->push_back(
-            {rel_path, LineOfOffset(code, pos), "obs-name",
-             "instrument name \"" + std::string(name) +
-                 "\" would not survive OpenMetrics sanitization (the "
-                 "first character must be a lowercase letter)"});
+                 "[a-z0-9_] segments joined by '.', starting with a "
+                 "letter)"});
       }
       pos = end;
     }
