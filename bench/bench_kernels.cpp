@@ -8,11 +8,12 @@
 //     two.  Parallel scaling shows up in par_ms only when the manifest
 //     records more than one hardware thread.
 //   * Enumeration cache: cold vs warm EnumerateModels on the Nebel GFUV
-//     formula.  The warm path is a structural-hash lookup and is orders
-//     of magnitude faster than re-running the AllSAT loop.
+//     formula.  The warm path is a structural-hash lookup; the cold one
+//     reads a truth table (at most 14 letters here).
 //   * Truth tables: the Proposition 2.1 candidate fold and the model-set
 //     entailment check, both on truth tables over the formula's letters,
-//     checked against the set-level operators and SAT entailment.
+//     checked against the set-level operators and SAT entailment; and
+//     model enumeration off a truth table against blocking-clause AllSAT.
 //
 // --json writes BENCH_kernels.json with all three tables.
 
@@ -153,7 +154,7 @@ void MeasureKernelScaling(obs::Report* report) {
 }
 
 void MeasureEnumerationCache(obs::Report* report) {
-  bench::Headline("EnumerateModels: cold AllSAT vs warm cache hit");
+  bench::Headline("EnumerateModels: cold enumeration vs warm cache hit");
   report->AddTable("model_cache", {"m", "models", "cold_ms", "warm_ms",
                                    "speedup", "identical"});
   std::printf("%-4s %8s %12s %12s %10s %10s\n", "m", "models", "cold ms",
@@ -192,6 +193,15 @@ void MeasureEnumerationCache(obs::Report* report) {
               static_cast<unsigned long long>(misses));
 }
 
+void AddTruthTableRow(obs::Report* report, const std::string& path,
+                      size_t models, size_t letters, size_t result,
+                      double per_call_ms, bool identical) {
+  std::printf("%-30s %8zu %8zu %8zu %12.5f %10s\n", path.c_str(), models,
+              letters, result, per_call_ms, identical ? "yes" : "NO");
+  report->AddRow("truth_table",
+                 {path, models, letters, result, per_call_ms, identical});
+}
+
 // The model-set fold and entailment check of a delayed knowledge base,
 // both run on truth tables over the formula's own letters (logic/
 // evaluate.h TruthTable), at the delayed_ask pipeline workload's shape: a
@@ -204,7 +214,7 @@ void MeasureTruthTablePaths(obs::Report* report) {
   report->AddTable("truth_table", {"path", "models", "letters",
                                    "result", "per_call_ms",
                                    "identical"});
-  std::printf("%-26s %8s %8s %8s %12s %10s\n", "path", "models",
+  std::printf("%-30s %8s %8s %8s %12s %10s\n", "path", "models",
               "letters", "result", "per call ms", "identical");
   constexpr int kLetters = 14;
   constexpr size_t kModels = 384;
@@ -237,15 +247,6 @@ void MeasureTruthTablePaths(obs::Report* report) {
        Formula::Or({x[5], Formula::Not(x[0]), x[3]}),
        Formula::Or(Formula::Not(x[2]), Formula::Not(x[5]))});
   const ModelSet mp = EnumerateModels(p, alphabet);
-  const auto add_row = [&](const std::string& path, size_t models,
-                           size_t letters, size_t result,
-                           double per_call_ms, bool identical) {
-    std::printf("%-26s %8zu %8zu %8zu %12.5f %10s\n", path.c_str(), models,
-                letters, result, per_call_ms,
-                identical ? "yes" : "NO");
-    report->AddRow("truth_table", {path, models, letters, result,
-                                   per_call_ms, identical});
-  };
   ModelSet dalal;
   for (const OperatorId id :
        {OperatorId::kDalal, OperatorId::kWinslett, OperatorId::kSatoh}) {
@@ -257,9 +258,9 @@ void MeasureTruthTablePaths(obs::Report* report) {
         folded = ReviseSetByFormula(id, mt, p);
       }
     });
-    add_row("ReviseSetByFormula/" + std::string(op->name()), mt.size(),
-            p.Vars().size(), folded.size(), ms / kCalls,
-            folded == op->ReviseModelSets(mt, mp));
+    AddTruthTableRow(report, "ReviseSetByFormula/" + std::string(op->name()),
+                     mt.size(), p.Vars().size(), folded.size(), ms / kCalls,
+                     folded == op->ReviseModelSets(mt, mp));
     if (id == OperatorId::kDalal) dalal = folded;
   }
   // Queries on the revised set, as a delayed Ask sees it: random clauses
@@ -290,8 +291,79 @@ void MeasureTruthTablePaths(obs::Report* report) {
     entailed += answers[i] ? 1 : 0;
   }
   // Here `result` counts the entailed queries.
-  add_row("EntailedByModels/clause3", dalal.size(), 3, entailed,
-          ms / kCalls / static_cast<double>(queries.size()), identical);
+  AddTruthTableRow(report, "EntailedByModels/clause3", dalal.size(), 3,
+                   entailed, ms / kCalls / static_cast<double>(queries.size()),
+                   identical);
+}
+
+// Model enumeration by blocking-clause AllSAT (AllSatModels) against
+// EnumerateModels, which reads a truth table at these widths, with the
+// model cache disabled so every call enumerates.  Three inputs: a
+// 14-letter random 3-CNF with 256-384 models, the shape of a delayed_ask
+// M(T); a 16-letter 3-CNF projected onto 10 letters; and the explicit
+// GFUV formula of Nebel's family at m = 8 (16 letters; 2^8 disjuncts of
+// 8 literals each, over 2,000 DAG edges, against 256 models).  Here
+// `models` is the formula's DAG size in nodes and `identical` compares
+// the two results.
+void MeasureEnumerationPaths(obs::Report* report) {
+  bench::Headline("Enumeration: AllSAT vs truth table");
+  std::printf("%-30s %8s %8s %8s %12s %10s\n", "path", "dag", "letters",
+              "models", "per call ms", "identical");
+  constexpr int kCalls = 20;
+  Vocabulary vocabulary;
+  std::vector<Var> vars;
+  for (int i = 0; i < 16; ++i) {
+    vars.push_back(vocabulary.InternIndexed("e", i));
+  }
+  Rng rng(14);
+  const std::vector<Var> vars14(vars.begin(), vars.begin() + 14);
+  const Alphabet alphabet14(vars14);
+  Formula cnf14;
+  for (;;) {
+    cnf14 = Random3Cnf(vars14, 29, &rng).AsFormula();
+    const size_t count = AllSatModels(cnf14, alphabet14).size();
+    if (count >= 256 && count <= 384) break;
+  }
+  const Formula cnf16 = Random3Cnf(vars, 40, &rng).AsFormula();
+  const Alphabet alphabet10(
+      std::vector<Var>(vars.begin(), vars.begin() + 10));
+  const NebelExplosionFamily family(8, &vocabulary);
+  const Formula gfuv = GfuvFormula(family.t, family.p);
+  const Alphabet nebel_alphabet(
+      UnionOfVars(std::vector<Formula>{family.t.AsFormula(), family.p}));
+  const struct {
+    const char* name;
+    Formula f;
+    Alphabet alphabet;
+  } inputs[] = {{"3cnf14", cnf14, alphabet14},
+                {"3cnf16_onto10", cnf16, alphabet10},
+                {"nebel_gfuv8", gfuv, nebel_alphabet}};
+  const size_t capacity = ModelCache::Global().capacity();
+  ModelCache::Global().set_capacity(0);
+  for (const auto& input : inputs) {
+    const size_t letters =
+        Alphabet::Union(input.alphabet, Alphabet(input.f.Vars())).size();
+    ModelSet by_sat;
+    ModelSet by_table;
+    const double sat_ms = TimeMs(5, [&] {
+      for (int call = 0; call < kCalls; ++call) {
+        by_sat = AllSatModels(input.f, input.alphabet);
+      }
+    });
+    const double table_ms = TimeMs(5, [&] {
+      for (int call = 0; call < kCalls; ++call) {
+        by_table = EnumerateModels(input.f, input.alphabet);
+      }
+    });
+    const bool identical = by_sat == by_table;
+    AddTruthTableRow(report, std::string("AllSatModels/") + input.name,
+                     input.f.DagSize(), letters, by_sat.size(),
+                     sat_ms / kCalls, identical);
+    AddTruthTableRow(report, std::string("EnumerateModels/") + input.name,
+                     input.f.DagSize(), letters, by_table.size(),
+                     table_ms / kCalls, identical);
+  }
+  ModelCache::Global().set_capacity(capacity);
 }
 
 void BM_GlobalMinimalDiffs(benchmark::State& state) {
@@ -378,6 +450,7 @@ int main(int argc, char** argv) {
   revise::MeasureKernelScaling(&reporter.report());
   revise::MeasureEnumerationCache(&reporter.report());
   revise::MeasureTruthTablePaths(&reporter.report());
+  revise::MeasureEnumerationPaths(&reporter.report());
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();

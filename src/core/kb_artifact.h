@@ -6,7 +6,7 @@
 // model set — into the checksummed container of src/artifact/.  Loading
 // validates every checksum, reconstructs the formulas over the caller's
 // vocabulary and seeds the Models() memo from the packed rows, so queries
-// after a cold start answer on the memo instead of an AllSAT sweep or a
+// after a cold start answer on the memo instead of an enumeration or a
 // SAT encoding of the folded formula.
 
 #ifndef REVISE_CORE_KB_ARTIFACT_H_

@@ -204,7 +204,7 @@ ModelSet KnowledgeBase::ComputeModels() const {
     return EnumerateModels(
         IteratedReviseTheory(*op_, initial_, updates_).AsFormula(), alphabet);
   }
-  // AllSAT on Ask's solver: from here on the memo answers Ask.
+  // Enumerated through Ask's solver: from here on the memo answers Ask.
   return Solver().Models(alphabet);
 }
 

@@ -104,8 +104,11 @@ class KnowledgeBase {
 
   // Is `m` (over `alphabet` ⊇ the KB's letters) a model of the revised
   // knowledge base?  Answered on the model-set memo.  Under kCompact, and
-  // kExplicit with a formula-based operator, filling it runs AllSAT on
-  // the KB's solver, which the fill consumes.  Under kCompact that is a
+  // kExplicit with a formula-based operator, filling it enumerates the
+  // stored formula through the KB's solver (EntailmentSolver::Models): a
+  // truth table when the formula and the KB's letters number at most 16
+  // together, which leaves the solver as it was, and otherwise AllSAT on
+  // the solver, which that consumes.  Under kCompact that is a
   // projection of the compact formula — the representation is only
   // QUERY-equivalent, the paper's criterion (1); cheap model checking is
   // exactly what it gives up (Section 1).
@@ -135,8 +138,8 @@ class KnowledgeBase {
   KnowledgeBase(Theory initial, const RevisionOperator* op,
                 RevisionStrategy strategy, Vocabulary* vocabulary);
 
-  // The Models() memo without model_fold_: AllSAT on the solver, or the
-  // from-scratch formula-based fold under kDelayed.
+  // The Models() memo without model_fold_: the solver's enumeration, or
+  // the from-scratch formula-based fold under kDelayed.
   ModelSet ComputeModels() const;
   // The Models() memo, filled on first use and, with model_fold_, caught
   // up with the updates it has not absorbed; Ask and IsModel read it in

@@ -248,19 +248,59 @@ ModelSet RefModels(OperatorId id, const ModelSet& mt, const ModelSet& mp) {
 
 // ---- oracles -------------------------------------------------------------
 
+// EnumerateModels (a truth table at oracle sizes) and AllSatModels (the
+// blocking-clause path EnumerateModels takes above kMaxTruthTableLetters)
+// vs an Evaluate sweep.  Besides T and P over X, the projected sides
+// enumerate over an alphabet that omits letters of the formula: T over X
+// without its odd-position letters, and T & (x <-> y1 & ... & y6), with x
+// the first letter of X and y1..y6 fresh, over X, whose fresh letters sit
+// at table bit 6 or above.  The reference then sweeps every letter and
+// projects.
 std::optional<std::string> BruteForceModelsOracle(const Scenario& s) {
   const Alphabet x = RevisionAlphabet(s.t, s.p);
   if (x.size() > kMaxOracleAlphabet) return std::nullopt;
-  const struct {
+  std::vector<Var> even;
+  for (size_t i = 0; i < x.size(); i += 2) even.push_back(x.var(i));
+  struct Side {
     const char* label;
     Formula formula;
-  } sides[] = {{"theory", s.t.AsFormula()}, {"p", s.p}};
-  for (const auto& side : sides) {
-    const ModelSet want = TruthTableModels(side.formula, x);
-    const ModelSet got = EnumerateModels(side.formula, x, 0);
-    if (!(got == want)) {
-      return std::string(side.label) + ": AllSAT disagrees with the " +
-             "truth table (" + SetSizes(got, want) + ")";
+    Alphabet alphabet;
+  };
+  std::vector<Side> sides = {
+      {"theory", s.t.AsFormula(), x},
+      {"p", s.p, x},
+      {"theory over X's even positions", s.t.AsFormula(),
+       Alphabet(std::move(even))}};
+  if (x.size() > 0 && x.size() + 6 <= kMaxOracleAlphabet) {
+    std::vector<Formula> ys;
+    for (const Var v : s.vocabulary->FreshBlock("y", 6)) {
+      ys.push_back(Formula::Variable(v));
+    }
+    sides.push_back(
+        {"theory & (x <-> y1 & ... & y6)",
+         Formula::And(s.t.AsFormula(),
+                      Formula::Iff(Formula::Variable(x.var(0)),
+                                   ConjoinAll(ys))),
+         x});
+  }
+  for (const Side& side : sides) {
+    const Alphabet all =
+        Alphabet::Union(side.alphabet, Alphabet(side.formula.Vars()));
+    const ModelSet want =
+        TruthTableModels(side.formula, all).ProjectTo(side.alphabet);
+    const struct {
+      const char* name;
+      ModelSet got;
+    } paths[] = {{"EnumerateModels", EnumerateModels(side.formula,
+                                                     side.alphabet, 0)},
+                 {"AllSatModels",
+                  AllSatModels(side.formula, side.alphabet, 0)}};
+    for (const auto& path : paths) {
+      if (!(path.got == want)) {
+        return std::string(side.label) + ": " + path.name +
+               " disagrees with the Evaluate sweep (" +
+               SetSizes(path.got, want) + ")";
+      }
     }
   }
   return std::nullopt;

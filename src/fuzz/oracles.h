@@ -3,8 +3,12 @@
 // Each oracle checks one scenario against an independent source of truth
 // and returns a failure description when the two disagree:
 //
-//   brute-force-models    EnumerateModels (CDCL AllSAT + projection +
-//                         model cache) vs a truth-table sweep of Evaluate.
+//   brute-force-models    EnumerateModels (a truth table up to 16
+//                         letters, else AllSAT; model cache) and
+//                         AllSatModels (the CDCL blocking-clause path) vs
+//                         a sweep of Evaluate, over the full alphabet and
+//                         projected onto alphabets that omit letters of
+//                         the formula, some at table bit 6 or above.
 //   operator-reference    each of the six model-based operators vs a
 //                         deliberately naive O(|M(T)| * |M(P)|) re-
 //                         implementation of the Section 2.2.2 definitions
@@ -16,7 +20,8 @@
 //                         disabled; results must be identical and the
 //                         hit/miss counters must move per the
 //                         disable-vs-evict contract (solve/model_cache.h).
-//   bdd-vs-enumeration    model count via hash-consed ROBDD vs AllSAT, and
+//   bdd-vs-enumeration    model count via hash-consed ROBDD vs
+//                         EnumerateModels, and
 //                         the canonicity check: compiling the canonical
 //                         DNF of the enumerated models must reproduce the
 //                         identical BDD node.

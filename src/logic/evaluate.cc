@@ -1,6 +1,7 @@
 #include "logic/evaluate.h"
 
 #include <algorithm>
+#include <functional>
 #include <unordered_map>
 
 #include "util/check.h"
@@ -111,6 +112,32 @@ constexpr uint64_t kLetterColumn[6] = {
     0xaaaaaaaaaaaaaaaaull, 0xccccccccccccccccull, 0xf0f0f0f0f0f0f0f0ull,
     0xff00ff00ff00ff00ull, 0xffff0000ffff0000ull, 0xffffffff00000000ull};
 
+// out = the `count` operand tables combined by op (identity when there
+// are none), two operands per pass over out.  out never aliases an
+// operand: operands are earlier steps.
+template <typename Op, typename Operand>
+void Reduce(Op op, uint64_t identity, size_t count, const Operand& operand,
+            uint64_t* __restrict out, size_t width) {
+  size_t c = 0;
+  if (count < 2) {
+    std::fill(out, out + width, identity);
+  } else {
+    const uint64_t* __restrict a = operand(0);
+    const uint64_t* __restrict b = operand(1);
+    for (size_t w = 0; w < width; ++w) out[w] = op(a[w], b[w]);
+    c = 2;
+  }
+  for (; c + 1 < count; c += 2) {
+    const uint64_t* __restrict a = operand(c);
+    const uint64_t* __restrict b = operand(c + 1);
+    for (size_t w = 0; w < width; ++w) out[w] = op(out[w], op(a[w], b[w]));
+  }
+  if (c < count) {
+    const uint64_t* __restrict a = operand(c);
+    for (size_t w = 0; w < width; ++w) out[w] = op(out[w], a[w]);
+  }
+}
+
 // Node tables are swept in blocks of whole words so that a large DAG over
 // 16 letters needs at most this many words of scratch (512 KiB).
 constexpr size_t kMaxScratchWords = size_t{1} << 16;
@@ -164,19 +191,13 @@ std::vector<uint64_t> TruthTable(const Formula& f,
           break;
         }
         case Connective::kAnd:
-        case Connective::kOr: {
-          const bool conjunction = step.kind == Connective::kAnd;
-          std::fill(out, out + width, conjunction ? ~uint64_t{0} : 0);
-          for (size_t c = 0; c < step.count; ++c) {
-            const uint64_t* a = operand(c);
-            if (conjunction) {
-              for (size_t w = 0; w < width; ++w) out[w] &= a[w];
-            } else {
-              for (size_t w = 0; w < width; ++w) out[w] |= a[w];
-            }
-          }
+          Reduce(std::bit_and<uint64_t>(), ~uint64_t{0}, step.count, operand,
+                 out, width);
           break;
-        }
+        case Connective::kOr:
+          Reduce(std::bit_or<uint64_t>(), 0, step.count, operand, out,
+                 width);
+          break;
         case Connective::kImplies: {
           const uint64_t* a = operand(0);
           const uint64_t* b = operand(1);

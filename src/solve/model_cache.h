@@ -1,6 +1,6 @@
 // An LRU-bounded memo for full model enumerations.
 //
-// EnumerateModels re-pays a complete AllSAT sweep every time the same
+// EnumerateModels re-pays a complete enumeration every time the same
 // (formula, alphabet) pair comes back — which the revision pipeline does
 // constantly: postulate checks enumerate M(T) and M(P) once per postulate,
 // query-equivalence tests enumerate both sides, and iterated revision

@@ -1,5 +1,10 @@
 #include "solve/services.h"
 
+#include <bit>
+#include <cstdint>
+#include <functional>
+#include <optional>
+
 #include "logic/evaluate.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -39,6 +44,14 @@ void ForEachProjectedModel(SatContext& context, const Alphabet& alphabet,
   }
 }
 
+// An enumeration's result as a set, counted.
+ModelSet EnumeratedSet(const Alphabet& alphabet,
+                       std::vector<Interpretation> models) {
+  REVISE_OBS_COUNTER("solve.models_enumerated").Increment(models.size());
+  obs::NoteModelSetCardinality(models.size());
+  return ModelSet(alphabet, std::move(models));
+}
+
 // The first `limit` (0 = all) projections onto `alphabet`, as a set.
 ModelSet CollectProjectedModels(SatContext& context, const Alphabet& alphabet,
                                 size_t limit) {
@@ -47,26 +60,59 @@ ModelSet CollectProjectedModels(SatContext& context, const Alphabet& alphabet,
     models.push_back(m);
     return limit == 0 || models.size() < limit;
   });
-  REVISE_OBS_COUNTER("solve.models_enumerated").Increment(models.size());
-  obs::NoteModelSetCardinality(models.size());
-  return ModelSet(alphabet, std::move(models));
+  return EnumeratedSet(alphabet, std::move(models));
 }
 
-// Universally quantifies letter j out of a TruthTable: afterwards bit t,
-// for every t with bit j clear, is the AND of the old bits t and t | 2^j.
-// Bits with bit j set are left meaningless; no later read looks at them,
-// and a later fold of another letter reads only indices with bit j clear.
-void ForAllOfLetter(size_t j, std::vector<uint64_t>* table) {
+// Quantifies letter j out of a TruthTable: afterwards bit t, for every t
+// with bit j clear, is combine(old bit t, old bit t | 2^j).  Bits with
+// bit j set are left meaningless; no later read looks at them, and a
+// later fold of another letter reads only indices with bit j clear.
+template <typename Combine>
+void FoldLetter(size_t j, Combine combine, std::vector<uint64_t>* table) {
   std::vector<uint64_t>& words = *table;
   if (j < 6) {
     const unsigned shift = 1u << j;
-    for (uint64_t& word : words) word &= word >> shift;
+    for (uint64_t& word : words) word = combine(word, word >> shift);
     return;
   }
   const size_t stride = size_t{1} << (j - 6);
   for (size_t w = 0; w < words.size(); ++w) {
-    if ((w & stride) == 0) words[w] &= words[w | stride];
+    if ((w & stride) == 0) words[w] = combine(words[w], words[w | stride]);
   }
+}
+
+// EnumerateModels off one truth table, or nullopt when |alphabet ∪ V(f)|
+// exceeds kMaxTruthTableLetters.  The alphabet's letters take the low
+// bits of the index and f's other letters the bits above them, which are
+// ORed out; bit t below 2^|alphabet| is then whether the projection with
+// index t extends to a model of f.  Set bits are read in increasing t,
+// i.e. in ModelSet's order, so `limit` keeps the numerically first.
+std::optional<ModelSet> TabledModels(const Formula& f,
+                                     const Alphabet& alphabet, size_t limit) {
+  if (alphabet.size() > kMaxTruthTableLetters) return std::nullopt;
+  std::vector<Var> letters = alphabet.vars();
+  for (const Var v : f.Vars()) {
+    if (!alphabet.Contains(v)) letters.push_back(v);
+  }
+  if (letters.size() > kMaxTruthTableLetters) return std::nullopt;
+  REVISE_OBS_COUNTER("solve.enumerate.tabled").Increment();
+  std::vector<uint64_t> table = TruthTable(f, letters);
+  const size_t n = alphabet.size();
+  for (size_t j = n; j < letters.size(); ++j) {
+    FoldLetter(j, std::bit_or<uint64_t>(), &table);
+  }
+  if (n < 6) table[0] &= (uint64_t{1} << (size_t{1} << n)) - 1;
+  const size_t words = n < 6 ? 1 : size_t{1} << (n - 6);
+  const size_t cap = limit == 0 ? SIZE_MAX : limit;
+  std::vector<Interpretation> models;
+  for (size_t w = 0; w < words && models.size() < cap; ++w) {
+    for (uint64_t bits = table[w]; bits != 0 && models.size() < cap;
+         bits &= bits - 1) {
+      models.push_back(Interpretation::FromIndex(
+          n, w * 64 + static_cast<size_t>(std::countr_zero(bits))));
+    }
+  }
+  return EnumeratedSet(alphabet, std::move(models));
 }
 
 // True iff every variable of f lies inside `alphabet`, i.e. enumerating f
@@ -133,6 +179,9 @@ bool EntailmentSolver::Entails(const Formula& q) {
 
 ModelSet EntailmentSolver::Models(const Alphabet& alphabet) {
   obs::ProfileScope profile("solve.enumerate");
+  if (std::optional<ModelSet> tabled = TabledModels(base_, alphabet, 0)) {
+    return *std::move(tabled);
+  }
   ModelSet models = CollectProjectedModels(Context(), alphabet, 0);
   context_.reset();
   return models;
@@ -161,7 +210,7 @@ bool EntailedByModels(const ModelSet& models, const Formula& q) {
         positions.push_back(*index);
         bits.push_back(uint64_t{1} << j);
       } else {
-        ForAllOfLetter(j, &table);
+        FoldLetter(j, std::bit_and<uint64_t>(), &table);
       }
     }
     for (const Interpretation& m : models) {
@@ -217,15 +266,18 @@ ModelSet EnumerateModels(const Formula& f, const Alphabet& alphabet,
       return *std::move(cached);
     }
   }
-  SatContext context;
-  context.Assert(f);
-  ModelSet result = CollectProjectedModels(context, alphabet, limit);
+  std::optional<ModelSet> tabled = TabledModels(f, alphabet, limit);
+  ModelSet result =
+      tabled ? *std::move(tabled) : AllSatModels(f, alphabet, limit);
   if (cacheable) ModelCache::Global().Insert(f, alphabet, result);
   return result;
 }
 
-size_t CountModels(const Formula& f, const Alphabet& alphabet) {
-  return EnumerateModels(f, alphabet).size();
+ModelSet AllSatModels(const Formula& f, const Alphabet& alphabet,
+                      size_t limit) {
+  SatContext context;
+  context.Assert(f);
+  return CollectProjectedModels(context, alphabet, limit);
 }
 
 bool QueryEquivalent(const Formula& a, const Formula& b,

@@ -38,7 +38,9 @@ class EntailmentSolver {
   [[nodiscard]] bool Entails(const Formula& q);
 
   // All models of base over `alphabet`, as EnumerateModels(base, alphabet)
-  // but without the model cache.  The AllSAT loop runs on this solver and
+  // but without the model cache.  Up to kMaxTruthTableLetters letters in
+  // alphabet ∪ V(base) they are read off one truth table and the solver is
+  // left as it was.  Above that the AllSAT loop runs on this solver and
   // its blocking clauses consume it: the next call encodes base afresh.
   [[nodiscard]] ModelSet Models(const Alphabet& alphabet);
 
@@ -73,17 +75,28 @@ class EntailmentSolver {
 // the models of f over V(f) ∪ alphabet.  Variables of f outside `alphabet`
 // are projected out (a projection appears once no matter how many
 // extensions it has); letters of `alphabet` not occurring in f take both
-// values.  `limit` == 0 means unlimited.  The enumeration uses blocking
-// clauses on the alphabet literals.  Unlimited enumerations are memoized
-// in the process-wide ModelCache (solve/model_cache.h) keyed by the
-// structural formula hash and the alphabet; repeated enumerations of the
-// same pair are cache hits.
+// values.  When |alphabet ∪ V(f)| <= kMaxTruthTableLetters, f is
+// tabulated once over those letters (logic/evaluate.h TruthTable), its
+// letters outside `alphabet` are ORed out of the table and the set bits
+// are the models: no SAT call.  Wider enumerations run AllSatModels.
+// `limit` == 0 means unlimited; otherwise at most `limit` models are
+// returned, on the table path the numerically first ones (ModelSet
+// order), on the AllSAT path the first the solver finds.  Unlimited
+// enumerations are memoized in the process-wide ModelCache
+// (solve/model_cache.h) keyed by the structural formula hash and the
+// alphabet; repeated enumerations of the same pair are cache hits.
 [[nodiscard]] ModelSet EnumerateModels(const Formula& f,
                                        const Alphabet& alphabet,
                                        size_t limit = 0);
 
-// Exact model count over `alphabet` by enumeration (small alphabets only).
-[[nodiscard]] size_t CountModels(const Formula& f, const Alphabet& alphabet);
+// EnumerateModels by blocking-clause AllSAT at any width, without the
+// model cache: one CDCL solve per projection, each model blocked by a
+// clause on the alphabet literals.  EnumerateModels takes this path above
+// kMaxTruthTableLetters letters; tests and the fuzz oracle call it
+// directly to check it against the table path on small alphabets.
+[[nodiscard]] ModelSet AllSatModels(const Formula& f,
+                                    const Alphabet& alphabet,
+                                    size_t limit = 0);
 
 // Query equivalence (paper's criterion (1)) of `a` and `b` with respect to
 // queries over `alphabet`: every formula built from `alphabet` letters is

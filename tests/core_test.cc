@@ -27,6 +27,7 @@
 namespace revise {
 namespace {
 
+using ::revise::testing::BruteForceModels;
 using ::revise::testing::BruteForceSat;
 
 // Create, for the operator/strategy pairs it accepts.
@@ -175,6 +176,40 @@ TEST(KnowledgeBaseTest, IsModelMatchesModels) {
     const Interpretation m = Interpretation::FromIndex(alphabet.size(), v);
     EXPECT_EQ(models.Contains(m), kb.IsModel(m, alphabet));
   }
+}
+
+TEST(KnowledgeBaseTest, ExplicitGfuvAnswersAlikeBeforeAndAfterIsModel) {
+  // The IsModel fill reads a truth table of folded() and leaves Ask's
+  // solver as it was; Ask then answers on the memo.  Answers on the
+  // solver before the fill, on the memo after it, and on a copy (a fresh
+  // solver) must agree with SAT entailment on folded().
+  Vocabulary vocabulary;
+  const Theory t = Theory::ParseOrDie("a; b; c; a & b -> d", &vocabulary);
+  KnowledgeBase kb = MakeKb(t, OperatorById(OperatorId::kGfuv),
+                            RevisionStrategy::kExplicit, &vocabulary);
+  kb.Revise(ParseOrDie("!a | !b", &vocabulary));
+  kb.Revise(ParseOrDie("!c | !d", &vocabulary));
+  std::vector<Formula> queries;
+  for (const char* text : {"a | b", "a", "!c | !d", "c", "d -> !c", "b & c",
+                           "a | z", "z | !z"}) {
+    queries.push_back(ParseOrDie(text, &vocabulary));
+  }
+  const KnowledgeBase unfilled = kb;
+  std::vector<bool> before;
+  for (const Formula& q : queries) before.push_back(kb.Ask(q));
+  const Alphabet alphabet = kb.CurrentAlphabet();
+  const ModelSet want = BruteForceModels(kb.folded(), alphabet);
+  for (uint64_t v = 0; v < (uint64_t{1} << alphabet.size()); ++v) {
+    const Interpretation m = Interpretation::FromIndex(alphabet.size(), v);
+    EXPECT_EQ(kb.IsModel(m, alphabet), want.Contains(m));
+  }
+  for (size_t i = 0; i < queries.size(); ++i) {
+    const bool expected = Entails(kb.folded(), queries[i]);
+    EXPECT_EQ(before[i], expected) << i;
+    EXPECT_EQ(kb.Ask(queries[i]), expected) << i;
+    EXPECT_EQ(unfilled.Ask(queries[i]), expected) << i;
+  }
+  EXPECT_EQ(kb.Models(), want);
 }
 
 TEST(KnowledgeBaseTest, StrategiesAgreeOnQueriesBeyondTheKbLetters) {

@@ -210,7 +210,7 @@ TEST(ServicesTest, EnumerationOverSupersetAlphabet) {
   const Formula f = ParseOrDie("a", &vocabulary);
   const Alphabet abc({vocabulary.Find("a"), vocabulary.Intern("b2"),
                       vocabulary.Intern("c2")});
-  EXPECT_EQ(4u, CountModels(f, abc));
+  EXPECT_EQ(4u, EnumerateModels(f, abc).size());
 }
 
 TEST(ServicesTest, EnumerationLimit) {
@@ -220,6 +220,98 @@ TEST(ServicesTest, EnumerationLimit) {
                       vocabulary.Intern("c")});
   EXPECT_EQ(3u, EnumerateModels(f, abc, 3).size());
   EXPECT_EQ(8u, EnumerateModels(f, abc).size());
+}
+
+// The models of f over `alphabet` by an Evaluate sweep over
+// alphabet ∪ V(f), projected onto `alphabet`.
+ModelSet SweptModels(const Formula& f, const Alphabet& alphabet) {
+  return BruteForceModels(f, Alphabet::Union(alphabet, Alphabet(f.Vars())))
+      .ProjectTo(alphabet);
+}
+
+uint64_t TabledEnumerations() {
+  return obs::Registry::Global()
+      .GetCounter("solve.enumerate.tabled")
+      ->Value();
+}
+
+// EnumerateModels reads a truth table up to 16 letters in alphabet ∪ V(f)
+// and runs AllSatModels above; both must agree with an Evaluate sweep,
+// whatever the split between alphabet letters (low table bits) and
+// projected letters (the bits above them, ORed out).
+TEST(ServicesTest, TableAndAllSatEnumerationMatchTheEvaluateSweep) {
+  const size_t env_capacity = ModelCache::Global().capacity();
+  ModelCache::Global().set_capacity(0);  // every call enumerates
+  Vocabulary vocabulary;
+  std::vector<Var> a;
+  std::vector<Var> y;
+  for (int i = 0; i < 12; ++i) {
+    a.push_back(vocabulary.InternIndexed("a", i));
+    y.push_back(vocabulary.InternIndexed("y", i));
+  }
+  const struct {
+    const char* label;
+    size_t inside;  // alphabet letters occurring in f
+    size_t absent;  // alphabet letters absent from f
+    size_t outside;  // letters of f outside the alphabet
+    bool tabled;
+    int rounds;  // the sweep over 16 or 17 letters is the slow part
+  } cases[] = {
+      {"empty alphabet", 0, 0, 5, true, 4},
+      {"alphabet letters absent from f", 3, 2, 0, true, 4},
+      {"outside letters below bit 6", 3, 0, 2, true, 4},
+      {"outside letters across bit 6", 4, 0, 8, true, 4},
+      {"outside letters above bit 6", 7, 0, 4, true, 4},
+      {"sixteen letters", 10, 0, 6, true, 1},
+      {"seventeen letters", 10, 0, 7, false, 1},
+  };
+  Rng rng(1716);
+  for (const auto& c : cases) {
+    std::vector<Var> vars(a.begin(), a.begin() + c.inside);
+    vars.insert(vars.end(), y.begin(), y.begin() + c.outside);
+    std::vector<Var> alphabet_vars(a.begin(), a.begin() + c.inside + c.absent);
+    const Alphabet alphabet(alphabet_vars);
+    for (int round = 0; round < c.rounds; ++round) {
+      // Clause density 1 to 4, and a clause over every letter to put all
+      // of them in V(f).
+      std::vector<Formula> literals;
+      for (const Var v : vars) {
+        literals.push_back(Formula::Literal(v, rng.Chance(0.5)));
+      }
+      const Formula f = Formula::And(
+          Random3Cnf(vars, (round + 1) * vars.size(), &rng).AsFormula(),
+          Formula::Or(literals));
+      ASSERT_EQ(f.Vars().size(), vars.size()) << c.label;
+      const ModelSet want = SweptModels(f, alphabet);
+      const uint64_t tabled = TabledEnumerations();
+      const ModelSet got = EnumerateModels(f, alphabet);
+      EXPECT_EQ(TabledEnumerations() - tabled, c.tabled ? 1u : 0u)
+          << c.label;
+      EXPECT_EQ(got, want) << c.label << ": " << ToString(f, vocabulary);
+      EXPECT_EQ(AllSatModels(f, alphabet), want) << c.label;
+      // A limit returns that many true models, on the table path the
+      // numerically first.
+      const size_t limit = 3;
+      const ModelSet some = EnumerateModels(f, alphabet, limit);
+      ASSERT_EQ(some.size(), std::min(limit, want.size())) << c.label;
+      for (size_t i = 0; i < some.size(); ++i) {
+        EXPECT_TRUE(want.Contains(some[i])) << c.label;
+        if (c.tabled) {
+          EXPECT_EQ(some[i], want[i]) << c.label;
+        }
+      }
+      const ModelSet sat_some = AllSatModels(f, alphabet, limit);
+      ASSERT_EQ(sat_some.size(), std::min(limit, want.size())) << c.label;
+      for (const Interpretation& m : sat_some) {
+        EXPECT_TRUE(want.Contains(m)) << c.label;
+      }
+    }
+  }
+  // Over the empty alphabet a formula has the one empty model iff it is
+  // satisfiable.
+  EXPECT_EQ(EnumerateModels(Formula::True(), Alphabet()).size(), 1u);
+  EXPECT_TRUE(EnumerateModels(Formula::False(), Alphabet()).empty());
+  ModelCache::Global().set_capacity(env_capacity);
 }
 
 TEST(ServicesTest, QueryEquivalenceWithAuxiliaryLetters) {
