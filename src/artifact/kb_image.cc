@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <chrono>
-#include <unordered_map>
+#include <span>
 #include <utility>
 
 #include "artifact/checksum.h"
@@ -26,86 +26,172 @@ uint64_t ElapsedUs(Clock::time_point start) {
 // --- formula node table ------------------------------------------------
 //
 // Nodes are emitted children-first, so every child reference is a smaller
-// index.  Two maps deduplicate: by node identity (cheap, catches shared
+// index.  Two tables deduplicate: by node identity (cheap, catches shared
 // DAG nodes) and by structure (catches equal subtrees allocated apart),
 // so the table is a true structural DAG regardless of how the formulas
-// were built.
+// were built.  Neither allocates per node.  A node's structural key (its
+// kind, then its payload or its children's indices) is built on one reused
+// stack, each child pushing its index as it returns; emitted keys are kept
+// in one arena, and both tables are open-addressed arrays (linear probing,
+// at most half full) of node indices.
 
-// Hash of a structural key: the node kind, then its payload or children.
-struct KeyHash {
-  size_t operator()(const std::vector<uint64_t>& key) const {
-    uint64_t h = key.size();
-    for (uint64_t word : key) {
-      h ^= word + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
-    }
-    return static_cast<size_t>(h);
+inline constexpr uint32_t kNoNode = ~uint32_t{0};
+
+// The splitmix64 finalizer: spreads every input bit over the low bits
+// that pick a slot.
+uint64_t Mix(uint64_t h) {
+  h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  h = (h ^ (h >> 27)) * 0x94d049bb133111ebULL;
+  return h ^ (h >> 31);
+}
+
+uint64_t HashKey(std::span<const uint32_t> key) {
+  uint64_t h = key.size();
+  for (uint32_t word : key) {
+    h = (h ^ word) * 0x9e3779b97f4a7c15ULL;
   }
-};
+  return Mix(h);
+}
 
 class FormulaEncoder {
  public:
   uint32_t Add(const Formula& f) {
-    auto by_id = by_id_.find(f.id());
-    if (by_id != by_id_.end()) {
-      return by_id->second;
+    if (uint32_t known = FindId(f.id()); known != kNoNode) {
+      return known;
     }
-    std::vector<uint64_t> key;
-    key.push_back(static_cast<uint64_t>(f.kind()));
+    const size_t base = stack_.size();
+    stack_.push_back(static_cast<uint32_t>(f.kind()));
     switch (f.kind()) {
       case Connective::kConst:
-        key.push_back(f.const_value() ? 1 : 0);
+        stack_.push_back(f.const_value() ? 1 : 0);
         break;
       case Connective::kVar:
-        key.push_back(f.var());
+        stack_.push_back(f.var());
         break;
       default:
         for (const Formula& child : f.children()) {
-          key.push_back(Add(child));
+          const uint32_t index = Add(child);
+          stack_.push_back(index);
         }
         break;
     }
-    auto [it, inserted] = by_structure_.try_emplace(key, count_);
-    if (inserted) {
-      EmitNode(f, key);
-      ++count_;
-    }
-    by_id_.emplace(f.id(), it->second);
-    return it->second;
+    const uint32_t index = Intern(
+        std::span<const uint32_t>(stack_).subspan(base));
+    stack_.resize(base);
+    InsertId(f.id(), index);
+    return index;
   }
-
-  uint32_t count() const { return count_; }
 
   std::vector<uint8_t> Finish() && {
     ByteWriter payload;
-    payload.U32(count_);
+    payload.U32(count());
     std::vector<uint8_t> body = std::move(body_).Take();
     payload.Bytes(body.data(), body.size());
     return std::move(payload).Take();
   }
 
  private:
-  void EmitNode(const Formula& f, const std::vector<uint64_t>& key) {
-    body_.U8(static_cast<uint8_t>(f.kind()));
-    switch (f.kind()) {
+  struct IdSlot {
+    const void* id = nullptr;
+    uint32_t index = kNoNode;
+  };
+
+  uint32_t count() const { return static_cast<uint32_t>(hashes_.size()); }
+
+  std::span<const uint32_t> KeyOf(uint32_t node) const {
+    return std::span<const uint32_t>(keys_).subspan(
+        key_begin_[node], key_begin_[node + 1] - key_begin_[node]);
+  }
+
+  static uint64_t HashId(const void* id) {
+    return Mix(reinterpret_cast<uintptr_t>(id));
+  }
+
+  uint32_t FindId(const void* id) const {
+    const size_t mask = ids_.size() - 1;
+    for (size_t slot = HashId(id) & mask;; slot = (slot + 1) & mask) {
+      if (ids_[slot].id == id) return ids_[slot].index;
+      if (ids_[slot].id == nullptr) return kNoNode;
+    }
+  }
+
+  void InsertId(const void* id, uint32_t index) {
+    if (2 * (id_count_ + 1) > ids_.size()) {
+      std::vector<IdSlot> old(2 * ids_.size());
+      old.swap(ids_);
+      for (const IdSlot& entry : old) {
+        if (entry.id != nullptr) PlaceId(entry);
+      }
+    }
+    PlaceId({id, index});
+    ++id_count_;
+  }
+
+  void PlaceId(const IdSlot& entry) {
+    const size_t mask = ids_.size() - 1;
+    size_t slot = HashId(entry.id) & mask;
+    while (ids_[slot].id != nullptr) slot = (slot + 1) & mask;
+    ids_[slot] = entry;
+  }
+
+  // The index of the node with this key, emitting it first if new.
+  uint32_t Intern(std::span<const uint32_t> key) {
+    const uint64_t hash = HashKey(key);
+    size_t mask = by_structure_.size() - 1;
+    size_t slot = hash & mask;
+    for (; by_structure_[slot] != kNoNode; slot = (slot + 1) & mask) {
+      const uint32_t node = by_structure_[slot];
+      if (hashes_[node] == hash && std::ranges::equal(KeyOf(node), key)) {
+        return node;
+      }
+    }
+    const uint32_t index = count();
+    hashes_.push_back(hash);
+    keys_.insert(keys_.end(), key.begin(), key.end());
+    key_begin_.push_back(static_cast<uint32_t>(keys_.size()));
+    EmitNode(key);
+    by_structure_[slot] = index;
+    if (2 * count() > by_structure_.size()) {
+      std::vector<uint32_t> grown(2 * by_structure_.size(), kNoNode);
+      mask = grown.size() - 1;
+      for (uint32_t node = 0; node < count(); ++node) {
+        size_t s = hashes_[node] & mask;
+        while (grown[s] != kNoNode) s = (s + 1) & mask;
+        grown[s] = node;
+      }
+      by_structure_.swap(grown);
+    }
+    return index;
+  }
+
+  void EmitNode(std::span<const uint32_t> key) {
+    body_.U8(static_cast<uint8_t>(key[0]));
+    switch (static_cast<Connective>(key[0])) {
       case Connective::kConst:
-        body_.U8(f.const_value() ? 1 : 0);
+        body_.U8(static_cast<uint8_t>(key[1]));
         break;
       case Connective::kVar:
-        body_.U32(f.var());
+        body_.U32(key[1]);
         break;
       default:
         body_.U32(static_cast<uint32_t>(key.size() - 1));
-        for (size_t i = 1; i < key.size(); ++i) {
-          body_.U32(static_cast<uint32_t>(key[i]));
+        for (uint32_t child : key.subspan(1)) {
+          body_.U32(child);
         }
         break;
     }
   }
 
   ByteWriter body_;
-  uint32_t count_ = 0;
-  std::unordered_map<const void*, uint32_t> by_id_;
-  std::unordered_map<std::vector<uint64_t>, uint32_t, KeyHash> by_structure_;
+  std::vector<uint32_t> stack_;
+  // Emitted node i: its key's hash hashes_[i] and its key, which spans
+  // keys_[key_begin_[i], key_begin_[i + 1]).
+  std::vector<uint64_t> hashes_;
+  std::vector<uint32_t> key_begin_ = {0};
+  std::vector<uint32_t> keys_;
+  std::vector<uint32_t> by_structure_ = std::vector<uint32_t>(64, kNoNode);
+  std::vector<IdSlot> ids_ = std::vector<IdSlot>(64);
+  size_t id_count_ = 0;
 };
 
 // Decodes the node table, rebuilding each node through the public

@@ -10,12 +10,10 @@ namespace revise {
 
 // The canonical DNF of a model set: one full minterm per model (false for
 // the empty set).  This is the "naive" explicit representation whose size
-// the paper's explosion arguments are about.
+// the paper's explosion arguments are about.  Its minterms share one
+// literal node per letter and sign, so its DagSize() is at most
+// |M| + 2|A| + 1; VarOccurrences() is |M| * |A| as written.
 Formula CanonicalDnf(const ModelSet& models);
-
-// The minterm (full conjunction of literals over `alphabet`) describing a
-// single interpretation.
-Formula Minterm(const Interpretation& m, const Alphabet& alphabet);
 
 }  // namespace revise
 

@@ -17,7 +17,15 @@ const std::shared_ptr<const std::vector<Interpretation>>& NoRows() {
   return rows;
 }
 
+// Loaded .rkb rows and table enumerations arrive strictly increasing; one
+// pass confirms that and skips the sort.
 std::vector<Interpretation> Canonical(std::vector<Interpretation> models) {
+  if (std::adjacent_find(models.begin(), models.end(),
+                         [](const Interpretation& a, const Interpretation& b) {
+                           return !(a < b);
+                         }) == models.end()) {
+    return models;
+  }
   std::sort(models.begin(), models.end());
   models.erase(std::unique(models.begin(), models.end()), models.end());
   return models;

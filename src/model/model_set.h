@@ -21,6 +21,8 @@ namespace revise {
 class ModelSet {
  public:
   ModelSet();
+  // Sorts and deduplicates `models`; rows already strictly increasing are
+  // kept as they are, after one pass that checks it.
   ModelSet(Alphabet alphabet, std::vector<Interpretation> models);
   ModelSet(const ModelSet&) = default;
   ModelSet& operator=(const ModelSet&) = default;

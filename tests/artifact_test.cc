@@ -2,14 +2,17 @@
 // primitive, the container round-trip, corruption rejection (bad magic,
 // bad version, truncation, arbitrary bit flips), the atomic save,
 // knowledge-base round-trips across operators / strategies / fuzz
-// scenario shapes and thread counts, and the committed golden canary.
+// scenario shapes and thread counts, encoding independent of node sharing,
+// the committed golden canary and the example artifacts' committed CRCs.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <set>
+#include <sstream>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -19,6 +22,7 @@
 #include "artifact/artifact.h"
 #include "artifact/checksum.h"
 #include "artifact/kb_image.h"
+#include "core/io.h"
 #include "core/kb_artifact.h"
 #include "core/knowledge_base.h"
 #include "fuzz/scenario.h"
@@ -403,6 +407,70 @@ TEST(KbArtifactTest, StructuralDedupSharesRepeatedSubtrees) {
   EXPECT_TRUE(image->models == kb->Models());
 }
 
+// A copy of f with a fresh node for every occurrence of every subformula:
+// structurally equal to f, sharing none of its nodes.
+Formula Unshared(const Formula& f) {
+  std::vector<Formula> children;
+  for (const Formula& child : f.children()) {
+    children.push_back(Unshared(child));
+  }
+  switch (f.kind()) {
+    case Connective::kConst:
+      return f;
+    case Connective::kVar:
+      return Formula::Variable(f.var());
+    case Connective::kNot:
+      return Formula::Not(children[0]);
+    case Connective::kAnd:
+      return Formula::And(children);
+    case Connective::kOr:
+      return Formula::Or(children);
+    case Connective::kImplies:
+      return Formula::Implies(children[0], children[1]);
+    case Connective::kIff:
+      return Formula::Iff(children[0], children[1]);
+    case Connective::kXor:
+      return Formula::Xor(children[0], children[1]);
+  }
+  return f;
+}
+
+TEST(KbArtifactTest, EncodingDependsOnStructureNotNodeSharing) {
+  // An explicit KB's folded DNF shares one literal node per letter and
+  // sign; rebuilt with a node per literal occurrence it must save to the
+  // same bytes.
+  Vocabulary vocabulary;
+  StatusOr<KnowledgeBase> kb = KnowledgeBase::Create(
+      Theory::ParseOrDie("a | b; b -> c; c -> d; e | !a", &vocabulary),
+      OperatorById(OperatorId::kWinslett), RevisionStrategy::kExplicit,
+      &vocabulary);
+  ASSERT_TRUE(kb.ok()) << kb.status().ToString();
+  kb->Revise(ParseOrDie("!b | !d", &vocabulary));
+  kb->Revise(ParseOrDie("a -> c", &vocabulary));
+  ASSERT_EQ(kb->folded().kind(), Connective::kOr);
+
+  const Formula unshared = Unshared(kb->folded());
+  ASSERT_TRUE(unshared.StructurallyEqual(kb->folded()));
+  ASSERT_GT(unshared.DagSize(), kb->folded().DagSize());
+  std::vector<Formula> folded_theory;
+  for (const Formula& f : kb->folded_theory().formulas()) {
+    folded_theory.push_back(Unshared(f));
+  }
+  StatusOr<KnowledgeBase> copy = KnowledgeBase::FromSnapshot(
+      kb->initial(), kb->updates(), unshared, Theory(folded_theory),
+      kb->Models(), &kb->op(), kb->strategy(), &vocabulary);
+  ASSERT_TRUE(copy.ok()) << copy.status().ToString();
+
+  const std::filesystem::path path = TempPath("kb_shared_literals");
+  ASSERT_TRUE(SaveKnowledgeBaseArtifact(*kb, path.string()).ok());
+  const std::vector<uint8_t> shared_bytes = ReadAll(path);
+  ASSERT_TRUE(SaveKnowledgeBaseArtifact(*copy, path.string()).ok());
+  const std::vector<uint8_t> unshared_bytes = ReadAll(path);
+  std::filesystem::remove(path);
+  ASSERT_FALSE(shared_bytes.empty());
+  EXPECT_EQ(shared_bytes, unshared_bytes);
+}
+
 TEST(KbArtifactTest, FailedSaveKeepsThePreviousFile) {
   // A save writes beside the target and renames over it, so a save that
   // fails must leave the previous artifact byte for byte as it was.
@@ -538,6 +606,70 @@ TEST(GoldenCanaryTest, CorruptedCanaryIsRejected) {
     EXPECT_FALSE(ArtifactFile::FromBytes(std::move(corrupt)).ok())
         << "byte " << i;
   }
+}
+
+// Every byte of the example artifacts, pinned by their whole-file CRCs:
+// examples/kb compiled in-process (as `revise_compile compile` does) under
+// each operator x strategy pair Create accepts must reproduce
+// examples_rkb.crc line for line.
+TEST(ExampleArtifactsTest, ExampleKbBytesMatchTheCommittedCrcs) {
+  std::map<std::string, uint64_t> committed;
+  std::ifstream list(std::string(REVISE_ARTIFACT_GOLDEN_DIR) +
+                     "/examples_rkb.crc");
+  ASSERT_TRUE(list.is_open());
+  std::string line;
+  while (std::getline(list, line)) {
+    if (line.empty() || line[0] == '#') continue;
+    std::istringstream fields(line);
+    std::string kb, op, strategy, crc;
+    ASSERT_TRUE(fields >> kb >> op >> strategy >> crc) << line;
+    committed[kb + " " + op + " " + strategy] = std::stoull(crc, nullptr, 16);
+  }
+
+  const std::pair<RevisionStrategy, const char*> strategies[] = {
+      {RevisionStrategy::kDelayed, "delayed"},
+      {RevisionStrategy::kExplicit, "explicit"},
+      {RevisionStrategy::kCompact, "compact"}};
+  const std::filesystem::path path = TempPath("kb_examples");
+  size_t compiled = 0;
+  for (const char* kb : {"circuit", "library", "office"}) {
+    const std::string stem = std::string(REVISE_EXAMPLES_KB_DIR) + "/" + kb;
+    for (const RevisionOperator* op : AllOperators()) {
+      for (const auto& [strategy, strategy_name] : strategies) {
+        std::string key = kb;
+        key.append(" ").append(op->name()).append(" ").append(strategy_name);
+        SCOPED_TRACE(key);
+        Vocabulary vocabulary;
+        StatusOr<Theory> theory =
+            LoadTheoryFromFile(stem + ".theory", &vocabulary);
+        ASSERT_TRUE(theory.ok()) << theory.status().ToString();
+        StatusOr<Theory> revisions =
+            LoadTheoryFromFile(stem + ".revise", &vocabulary);
+        ASSERT_TRUE(revisions.ok()) << revisions.status().ToString();
+        StatusOr<KnowledgeBase> created = KnowledgeBase::Create(
+            *std::move(theory), op, strategy, &vocabulary);
+        if (!created.ok()) {
+          EXPECT_EQ(committed.count(key), 0u);
+          continue;
+        }
+        for (const Formula& p : revisions->formulas()) {
+          created->Revise(p);
+        }
+        ASSERT_TRUE(SaveKnowledgeBaseArtifact(*created, path.string()).ok());
+        StatusOr<ArtifactFile> file = ArtifactFile::Open(path.string());
+        ASSERT_TRUE(file.ok()) << file.status().ToString();
+        ++compiled;
+        auto it = committed.find(key);
+        ASSERT_NE(it, committed.end());
+        EXPECT_EQ(file->file_crc(), it->second)
+            << std::hex << "compiled " << file->file_crc() << ", committed "
+            << it->second;
+      }
+    }
+  }
+  std::filesystem::remove(path);
+  EXPECT_EQ(compiled, 75u);
+  EXPECT_EQ(committed.size(), compiled);
 }
 
 #endif  // REVISE_ARTIFACT_GOLDEN_DIR

@@ -63,6 +63,20 @@ TEST(ServicesTest, EntailedByModelsEdgeCases) {
   EXPECT_TRUE(EntailedByModels(everything, Formula::Implies(a, a)));
 }
 
+// The canonical DNF written minterm by minterm, with a fresh node for
+// every literal occurrence.
+Formula MintermByMintermDnf(const ModelSet& set) {
+  std::vector<Formula> minterms;
+  for (const Interpretation& m : set) {
+    std::vector<Formula> literals;
+    for (size_t i = 0; i < set.alphabet().size(); ++i) {
+      literals.push_back(Formula::Literal(set.alphabet().var(i), m.Get(i)));
+    }
+    minterms.push_back(ConjoinAll(literals));
+  }
+  return DisjoinAll(minterms);
+}
+
 TEST(ServicesTest, EntailedByModelsMatchesCanonicalDnfEntailment) {
   Vocabulary vocabulary;
   std::vector<Var> inside;
@@ -82,10 +96,16 @@ TEST(ServicesTest, EntailedByModelsMatchesCanonicalDnfEntailment) {
       }
     }
     const ModelSet set(alphabet, std::move(models));
+    // One literal node per letter and sign, |M| * |A| occurrences as
+    // written, the same structure as the minterm-by-minterm DNF.
+    const Formula dnf = CanonicalDnf(set);
+    EXPECT_LE(dnf.DagSize(), set.size() + 2 * alphabet.size() + 1);
+    EXPECT_EQ(dnf.VarOccurrences(), set.size() * alphabet.size());
+    EXPECT_TRUE(dnf.StructurallyEqual(MintermByMintermDnf(set)));
     // Queries over the alphabet alone and over two letters outside it.
     for (const std::vector<Var>* vars : {&inside, &all}) {
       const Formula query = RandomFormula(*vars, 3, &rng);
-      EXPECT_EQ(Entails(CanonicalDnf(set), query),
+      EXPECT_EQ(Entails(dnf, query),
                 EntailedByModels(set, query))
           << "round " << round << ": " << ToString(query, vocabulary);
     }
