@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <new>
+#include <type_traits>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -13,7 +14,7 @@ namespace revise::sat {
 // A clause and its literals in one allocation, MiniSat-style: `size`
 // literals follow the header directly, so propagation reaches them
 // without a second indirection.  Problem and learnt clauses share the
-// layout; clauses_ and learnts_ tell them apart.
+// layout; only learnts_ lists the learnt ones.
 struct Solver::Clause {
   double activity = 0.0;
   uint32_t size = 0;
@@ -26,12 +27,17 @@ namespace {
 constexpr double kVarDecay = 0.95;
 constexpr double kClauseActivityBump = 1.0;
 constexpr int64_t kRestartBase = 100;
+// The arena's first chunk and the size its doubling stops at: small
+// solvers (one entailment check) take one small block, and no chunk is
+// large enough to be mapped and unmapped page by page.
+constexpr size_t kFirstChunkBytes = size_t{1} << 10;
+constexpr size_t kMaxChunkBytes = size_t{1} << 16;
 }  // namespace
 
 Solver::Solver() = default;
 
 Solver::~Solver() {
-  for (Clause* c : clauses_) FreeClause(c);
+  // Problem clauses go with arena_chunks_.
   for (Clause* c : learnts_) FreeClause(c);
 }
 
@@ -103,19 +109,44 @@ bool Solver::AddClause(std::span<const Lit> lits) {
     }
     return true;
   }
-  Clause* clause = AllocClause(cleaned);
-  clauses_.push_back(clause);
+  Clause* clause = AllocProblemClause(cleaned);
   AttachClause(clause);
   return true;
 }
 
-Solver::Clause* Solver::AllocClause(std::span<const Lit> lits) {
+Solver::Clause* Solver::InitClause(void* memory, std::span<const Lit> lits) {
   static_assert(alignof(Clause) >= alignof(Lit));
-  void* memory = ::operator new(sizeof(Clause) + lits.size() * sizeof(Lit));
   Clause* clause = new (memory) Clause;
   clause->size = static_cast<uint32_t>(lits.size());
   std::copy(lits.begin(), lits.end(), clause->lits());
   return clause;
+}
+
+Solver::Clause* Solver::AllocClause(std::span<const Lit> lits) {
+  return InitClause(
+      ::operator new(sizeof(Clause) + lits.size() * sizeof(Lit)), lits);
+}
+
+Solver::Clause* Solver::AllocProblemClause(std::span<const Lit> lits) {
+  static_assert(std::is_trivially_destructible_v<Clause>);
+  // Rounded up so the next clause's header stays aligned.
+  const size_t bytes = (sizeof(Clause) + lits.size() * sizeof(Lit) +
+                        alignof(Clause) - 1) &
+                       ~(alignof(Clause) - 1);
+  if (bytes > arena_left_) {
+    arena_chunk_bytes_ = std::clamp(2 * arena_chunk_bytes_, kFirstChunkBytes,
+                                    kMaxChunkBytes);
+    const size_t chunk = std::max(bytes, arena_chunk_bytes_);
+    // new[] aligns to __STDCPP_DEFAULT_NEW_ALIGNMENT__, enough for Clause.
+    arena_chunks_.push_back(std::make_unique_for_overwrite<std::byte[]>(chunk));
+    arena_next_ = arena_chunks_.back().get();
+    arena_left_ = chunk;
+  }
+  void* memory = arena_next_;
+  arena_next_ += bytes;
+  arena_left_ -= bytes;
+  ++num_problem_clauses_;
+  return InitClause(memory, lits);
 }
 
 void Solver::FreeClause(Clause* clause) {
@@ -448,113 +479,164 @@ int64_t Solver::Luby(int64_t x) {
   return int64_t{1} << seq;
 }
 
-Solver::Result Solver::Solve() { return SolveAssuming({}); }
+Solver::Outcome Solver::Search(int64_t conflict_budget,
+                               std::span<const Lit> assumptions,
+                               Enumeration* enumeration) {
+  int64_t conflicts_left = conflict_budget;
+  for (;;) {
+    Clause* conflict = Propagate();
+    if (conflict != nullptr) {
+      ++stats_.conflicts;
+      --conflicts_left;
+      if (interrupt_ && stats_.conflicts % 64 == 0 && interrupt_()) {
+        return Outcome::kInterrupted;
+      }
+      if (DecisionLevel() == 0) return Outcome::kRefuted;
+      int backtrack_level = 0;
+      Analyze(conflict, &learnt_, &backtrack_level);
+      CancelUntil(backtrack_level);
+      if (learnt_.size() == 1) {
+        UncheckedEnqueue(learnt_[0], nullptr);
+      } else {
+        Clause* clause = AllocClause(learnt_);
+        learnts_.push_back(clause);
+        ++stats_.learned_clauses;
+        AttachClause(clause);
+        UncheckedEnqueue(learnt_[0], clause);
+      }
+      VarDecayActivity();
+      if (conflicts_left <= 0) return Outcome::kRestart;
+      continue;
+    }
+    if (static_cast<double>(learnts_.size()) >
+        max_learnts_ + trail_.size()) {
+      ReduceDb();
+    }
+    // Establish assumptions, one decision level each.
+    Lit next = kUndefLit;
+    while (DecisionLevel() < static_cast<int>(assumptions.size())) {
+      const Lit assumption = assumptions[DecisionLevel()];
+      const LBool value = ValueOfLit(assumption);
+      if (value == LBool::kTrue) {
+        NewDecisionLevel();  // dummy level keeps indices aligned
+      } else if (value == LBool::kFalse) {
+        return Outcome::kFailedAssumptions;
+      } else {
+        next = assumption;
+        break;
+      }
+    }
+    if (next == kUndefLit) {
+      next = PickBranchLit();
+      if (next == kUndefLit) {  // all variables assigned
+        if (enumeration == nullptr) return Outcome::kModel;
+        const Outcome outcome = VisitAndBlock(*enumeration);
+        if (outcome != Outcome::kModel) return outcome;
+        continue;  // propagate the blocking clause's unit literal
+      }
+      ++stats_.decisions;
+    }
+    NewDecisionLevel();
+    UncheckedEnqueue(next, nullptr);
+  }
+}
 
-Solver::Result Solver::SolveAssuming(const std::vector<Lit>& assumptions) {
-  if (!ok_) return Result::kUnsat;
-  obs::Span span("sat.solve");
-  const SolverStats before = stats_;
+Solver::Outcome Solver::VisitAndBlock(Enumeration& enumeration) {
+  projection_.clear();
+  for (const int var : enumeration.vars) {
+    projection_.push_back(MakeLit(var, assigns_[var] == LBool::kFalse));
+  }
+  if (!(*enumeration.visit)(projection_)) return Outcome::kVisitorStopped;
+  ++enumeration.models;
+  // The blocking clause: the projection's literals negated, less those
+  // fixed at level 0, which are false for good.
+  blocking_.clear();
+  for (const Lit lit : projection_) {
+    if (level_[LitVar(lit)] > 0) blocking_.push_back(Negate(lit));
+  }
+  if (blocking_.empty()) return Outcome::kRefuted;  // no projection left
+  // Watch a deepest literal and the deepest of the rest.
+  for (size_t w = 0; w < 2 && w < blocking_.size(); ++w) {
+    size_t deepest = w;
+    for (size_t i = w + 1; i < blocking_.size(); ++i) {
+      if (level_[LitVar(blocking_[i])] > level_[LitVar(blocking_[deepest])]) {
+        deepest = i;
+      }
+    }
+    std::swap(blocking_[w], blocking_[deepest]);
+  }
+  if (blocking_.size() == 1) {
+    CancelUntil(0);
+    UncheckedEnqueue(blocking_[0], nullptr);
+  } else {
+    const int top = level_[LitVar(blocking_[0])];
+    // Below `top`, blocking_[0] is unit unless blocking_[1] shares its
+    // level; then both watches are open and the search decides again.
+    const bool unit = level_[LitVar(blocking_[1])] < top;
+    Clause* clause = AllocProblemClause(blocking_);
+    CancelUntil(top - 1);
+    AttachClause(clause);
+    if (unit) UncheckedEnqueue(blocking_[0], clause);
+  }
+  if (interrupt_ && enumeration.models % 64 == 0 && interrupt_()) {
+    return Outcome::kInterrupted;
+  }
+  return Outcome::kModel;
+}
+
+Solver::Outcome Solver::Run(std::span<const Lit> assumptions,
+                            Enumeration* enumeration) {
   CancelUntil(0);
   max_learnts_ = std::max<double>(
-      static_cast<double>(clauses_.size()) * max_learnts_factor_, 2000.0);
-  int64_t restart_count = 0;
-  Result result = Result::kUnknown;
-  for (;;) {
-    const int64_t budget = kRestartBase * Luby(restart_count + 1);
-    const int outcome = [&] {
-      // Search returns +1 SAT, 0 UNSAT (refutation at level 0), -1
-      // restart, -2 interrupted, -3 UNSAT under the assumptions only.
-      int64_t conflicts_left = budget;
-      for (;;) {
-        Clause* conflict = Propagate();
-        if (conflict != nullptr) {
-          ++stats_.conflicts;
-          --conflicts_left;
-          if (interrupt_ && stats_.conflicts % 64 == 0 && interrupt_()) {
-            return -2;
-          }
-          if (DecisionLevel() == 0) return 0;
-          int backtrack_level = 0;
-          Analyze(conflict, &learnt_, &backtrack_level);
-          CancelUntil(backtrack_level);
-          if (learnt_.size() == 1) {
-            UncheckedEnqueue(learnt_[0], nullptr);
-          } else {
-            Clause* clause = AllocClause(learnt_);
-            learnts_.push_back(clause);
-            ++stats_.learned_clauses;
-            AttachClause(clause);
-            UncheckedEnqueue(learnt_[0], clause);
-          }
-          VarDecayActivity();
-          if (conflicts_left <= 0) return -1;
-          continue;
-        }
-        if (static_cast<double>(learnts_.size()) >
-            max_learnts_ + trail_.size()) {
-          ReduceDb();
-        }
-        // Establish assumptions, one decision level each.
-        Lit next = kUndefLit;
-        while (DecisionLevel() < static_cast<int>(assumptions.size())) {
-          const Lit assumption = assumptions[DecisionLevel()];
-          const LBool value = ValueOfLit(assumption);
-          if (value == LBool::kTrue) {
-            NewDecisionLevel();  // dummy level keeps indices aligned
-          } else if (value == LBool::kFalse) {
-            return -3;  // assumptions conflict with the formula
-          } else {
-            next = assumption;
-            break;
-          }
-        }
-        if (next == kUndefLit) {
-          next = PickBranchLit();
-          if (next == kUndefLit) return 1;  // all variables assigned
-          ++stats_.decisions;
-        }
-        NewDecisionLevel();
-        UncheckedEnqueue(next, nullptr);
-      }
-    }();
-    if (outcome == 1) {
+      static_cast<double>(num_problem_clauses_) * max_learnts_factor_,
+      2000.0);
+  for (int64_t restarts = 0;; ++restarts) {
+    const Outcome outcome = Search(kRestartBase * Luby(restarts + 1),
+                                   assumptions, enumeration);
+    if (outcome == Outcome::kRestart) {
+      ++stats_.restarts;
+      max_learnts_ *= learnt_growth_;
+      CancelUntil(0);
+      continue;
+    }
+    if (outcome == Outcome::kModel) {
       model_.assign(NumVars(), false);
       for (int v = 0; v < NumVars(); ++v) {
         model_[v] = assigns_[v] == LBool::kTrue;
       }
-      CancelUntil(0);
-      result = Result::kSat;
-      break;
     }
-    if (outcome == 0 || outcome == -3) {
-      CancelUntil(0);
-      // A refutation at level 0 holds regardless of assumptions: the
-      // trail now contains a falsified clause that propagation has
-      // already passed, so the solver must never search again.
-      if (outcome == 0) ok_ = false;
-      result = Result::kUnsat;
-      break;
-    }
-    if (outcome == -2) {
-      CancelUntil(0);
+    // A refutation at level 0 holds regardless of assumptions: the trail
+    // now contains a falsified clause that propagation has already
+    // passed, so the solver must never search again.
+    if (outcome == Outcome::kRefuted) ok_ = false;
+    if (outcome == Outcome::kInterrupted) {
       REVISE_OBS_COUNTER("sat.interrupts").Increment();
-      result = Result::kUnknown;
-      break;
     }
-    ++restart_count;
-    ++stats_.restarts;
-    max_learnts_ *= learnt_growth_;
     CancelUntil(0);
+    return outcome;
   }
-  // Publish this call's deltas to the global registry in one batch so the
-  // search loop itself never touches atomics.
-  REVISE_OBS_COUNTER("sat.solves").Increment();
+}
+
+Solver::Result Solver::ResultOf(Outcome outcome) {
+  switch (outcome) {
+    case Outcome::kModel:
+    case Outcome::kVisitorStopped:
+      return Result::kSat;
+    case Outcome::kInterrupted:
+      return Result::kUnknown;
+    case Outcome::kRefuted:
+    case Outcome::kFailedAssumptions:
+    case Outcome::kRestart:  // Run never returns it
+      break;
+  }
+  return Result::kUnsat;
+}
+
+void Solver::PublishStats(const SolverStats& before) const {
   REVISE_OBS_COUNTER("sat.conflicts")
       .Increment(stats_.conflicts - before.conflicts);
   REVISE_OBS_COUNTER("sat.decisions")
       .Increment(stats_.decisions - before.decisions);
-  REVISE_OBS_HISTOGRAM("sat.decisions_per_solve")
-      .Record(stats_.decisions - before.decisions);
   REVISE_OBS_COUNTER("sat.propagations")
       .Increment(stats_.propagations - before.propagations);
   REVISE_OBS_COUNTER("sat.restarts").Increment(stats_.restarts - before.restarts);
@@ -562,7 +644,40 @@ Solver::Result Solver::SolveAssuming(const std::vector<Lit>& assumptions) {
       .Increment(stats_.learned_clauses - before.learned_clauses);
   REVISE_OBS_COUNTER("sat.deleted_clauses")
       .Increment(stats_.deleted_clauses - before.deleted_clauses);
-  return result;
+}
+
+Solver::Result Solver::Solve() { return SolveAssuming({}); }
+
+Solver::Result Solver::SolveAssuming(const std::vector<Lit>& assumptions) {
+  if (!ok_) return Result::kUnsat;
+  obs::Span span("sat.solve");
+  const SolverStats before = stats_;
+  const Outcome outcome = Run(assumptions, nullptr);
+  REVISE_OBS_COUNTER("sat.solves").Increment();
+  REVISE_OBS_HISTOGRAM("sat.decisions_per_solve")
+      .Record(stats_.decisions - before.decisions);
+  PublishStats(before);
+  return ResultOf(outcome);
+}
+
+Solver::Result Solver::EnumerateProjections(std::span<const int> vars,
+                                            const ProjectionVisitor& visit) {
+  if (!ok_) return Result::kUnsat;
+  obs::Span span("sat.enumerate");
+  const SolverStats before = stats_;
+  // A repeated variable would repeat a literal in the blocking clauses.
+  for (const int var : vars) {
+    REVISE_CHECK_GE(var, 0);
+    REVISE_CHECK_LT(var, NumVars());
+    REVISE_CHECK(!seen_[var]);
+    seen_[var] = 1;
+  }
+  for (const int var : vars) seen_[var] = 0;
+  Enumeration enumeration{vars, &visit};
+  const Outcome outcome = Run({}, &enumeration);
+  REVISE_OBS_COUNTER("sat.enumerations").Increment();
+  PublishStats(before);
+  return ResultOf(outcome);
 }
 
 bool Solver::ModelValue(int var) const {

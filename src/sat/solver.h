@@ -3,7 +3,10 @@
 // Features: two-watched-literal propagation, first-UIP conflict analysis
 // with recursive clause minimization, EVSIDS branching with phase saving,
 // Luby restarts, learned-clause database reduction, incremental solving
-// under assumptions (clauses may be added between Solve() calls).
+// under assumptions (clauses may be added between Solve() calls),
+// projected model enumeration inside one search (each model blocked by a
+// clause over the projection, then the search backtracks and goes on),
+// and problem clauses bump-allocated from a per-solver arena.
 //
 // This is the workhorse behind every semantic operation in librevise:
 // satisfiability, entailment, model enumeration, minimal-distance
@@ -16,6 +19,7 @@
 #include <cstdint>
 #include <functional>
 #include <initializer_list>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -37,6 +41,10 @@ class Solver {
   // kUnknown is only returned when an interrupt callback (SetInterrupt)
   // asked the search to stop — e.g. a soft deadline expired.
   enum class Result { kSat, kUnsat, kUnknown };
+
+  // Receives one model's projection: element i is vars[i] with the sign
+  // it takes in the model.  Returns false to stop the enumeration.
+  using ProjectionVisitor = std::function<bool(std::span<const Lit>)>;
 
   Solver();
   ~Solver();
@@ -79,15 +87,34 @@ class Solver {
   // clauses and do not persist.
   [[nodiscard]] Result SolveAssuming(const std::vector<Lit>& assumptions);
 
+  // Calls visit once per distinct projection onto `vars` (distinct
+  // variables) of a model of the clause set, in one CDCL search: on each
+  // total assignment the projection goes to the visitor, the clause
+  // blocking it is added as a problem clause, and the search backtracks
+  // to one level below the deepest blocking literal, where that literal
+  // is unit.  Learning, restarts, ReduceDb and interrupt polling work as
+  // in SolveAssuming; the interrupt is also polled every 64 models, so a
+  // conflict-free enumeration stops too.  Returns kUnsat once every
+  // projection has been visited (the blocking clauses leave the clause
+  // set unsatisfiable, so Okay() turns false), kSat when the visitor
+  // returned false, and kUnknown when interrupted.  Blocking clauses of
+  // visited projections stay, so a later call resumes where this one
+  // stopped.  With `vars` empty, visit runs once iff the clauses are
+  // satisfiable.  Does not set ModelValue.  The visitor runs inside the
+  // search and must not call back into the solver.
+  [[nodiscard]] Result EnumerateProjections(std::span<const int> vars,
+                                            const ProjectionVisitor& visit);
+
   // Value of a variable in the model found by the last kSat Solve.
   // Unassigned variables (eliminated by simplification) read as false.
   [[nodiscard]] bool ModelValue(int var) const;
 
   const SolverStats& stats() const { return stats_; }
 
-  // Installs a callback polled roughly every 64 conflicts during search.
-  // When it returns true the current Solve call stops and returns
-  // kUnknown.  Pass nullptr to clear.
+  // Installs a callback polled roughly every 64 conflicts during search
+  // (and every 64 models during EnumerateProjections).  When it returns
+  // true the current call stops and returns kUnknown.  Pass nullptr to
+  // clear.
   void SetInterrupt(std::function<bool()> should_stop) {
     interrupt_ = std::move(should_stop);
   }
@@ -100,9 +127,31 @@ class Solver {
     Lit blocker;
   };
 
+  // Search's outcomes.
+  enum class Outcome {
+    kModel,        // every variable assigned
+    kRefuted,      // conflict at level 0, or enumeration exhausted
+    kRestart,      // conflict budget spent
+    kInterrupted,  // the interrupt callback asked to stop
+    kFailedAssumptions,
+    kVisitorStopped,
+  };
+
+  // An EnumerateProjections call's state, read by Search.
+  struct Enumeration {
+    std::span<const int> vars;
+    const ProjectionVisitor* visit;
+    uint64_t models = 0;
+  };
+
   // --- clause management ---
+  // Learnt clauses are heap blocks that ReduceDb frees one by one.
   Clause* AllocClause(std::span<const Lit> lits);
   static void FreeClause(Clause* clause);
+  // Problem clauses (AddClause and blocking clauses) are never freed
+  // before the solver, so they come from arena_chunks_.
+  Clause* AllocProblemClause(std::span<const Lit> lits);
+  static Clause* InitClause(void* memory, std::span<const Lit> lits);
   void AttachClause(Clause* clause);
   void DetachClause(Clause* clause);
   void ReduceDb();
@@ -116,6 +165,24 @@ class Solver {
   void CancelUntil(int level);
 
   // --- search ---
+  // Runs CDCL until a model (or, when enumerating, until the projections
+  // are exhausted), a refutation, a failed assumption, an interrupt, or
+  // `conflict_budget` conflicts.
+  Outcome Search(int64_t conflict_budget, std::span<const Lit> assumptions,
+                 Enumeration* enumeration);
+  // Hands the current total assignment's projection to the visitor and
+  // blocks it (see EnumerateProjections).  Returns kModel to go on
+  // searching, kRefuted when no projection is left, kVisitorStopped or
+  // kInterrupted.
+  Outcome VisitAndBlock(Enumeration& enumeration);
+  // Cancels to level 0 and runs Search under Luby restarts until it ends
+  // in anything but a restart; copies the model on kModel and latches
+  // !ok_ on kRefuted.
+  Outcome Run(std::span<const Lit> assumptions, Enumeration* enumeration);
+  static Result ResultOf(Outcome outcome);
+  // Publishes the stats' growth since `before` to the global registry in
+  // one batch, so the search loop itself never touches atomics.
+  void PublishStats(const SolverStats& before) const;
   Clause* Propagate();
   void Analyze(Clause* conflict, std::vector<Lit>* learnt,
                int* backtrack_level);
@@ -144,8 +211,16 @@ class Solver {
   size_t qhead_ = 0;
 
   std::vector<std::vector<Watcher>> watches_;  // indexed by literal
-  std::vector<Clause*> clauses_;               // problem clauses
+  size_t num_problem_clauses_ = 0;             // with two or more literals
   std::vector<Clause*> learnts_;
+
+  // The problem clauses' storage: chunks growing geometrically up to a
+  // cap, bumped through from arena_next_; a clause wider than the next
+  // chunk gets a chunk of its own.
+  std::vector<std::unique_ptr<std::byte[]>> arena_chunks_;
+  std::byte* arena_next_ = nullptr;
+  size_t arena_left_ = 0;
+  size_t arena_chunk_bytes_ = 0;
 
   // VSIDS.
   std::vector<double> activity_;
@@ -162,6 +237,10 @@ class Solver {
 
   // AddClause's normalisation buffer.
   std::vector<Lit> add_scratch_;
+  // EnumerateProjections' buffers: the projection as literals, and the
+  // blocking clause.
+  std::vector<Lit> projection_;
+  std::vector<Lit> blocking_;
 
   std::vector<bool> model_;
 

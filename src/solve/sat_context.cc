@@ -135,23 +135,33 @@ void SatContext::Assert(const Formula& f, int frame) {
   LatchConflict(solver_.AddUnit(Encode(f, frame)));
 }
 
-bool SatContext::Solve(const std::vector<Lit>& assumptions) {
+template <typename Call>
+sat::Solver::Result SatContext::RunUnderDeadline(Call call) {
   timed_out_ = false;
-  if (soft_deadline_seconds_ > 0.0) {
-    obs::Stopwatch stopwatch;
-    const double deadline = soft_deadline_seconds_;
-    solver_.SetInterrupt(
-        [&stopwatch, deadline] { return stopwatch.ElapsedSeconds() >= deadline; });
-    const sat::Solver::Result result = solver_.SolveAssuming(assumptions);
-    solver_.SetInterrupt(nullptr);
-    if (result == sat::Solver::Result::kUnknown) {
-      timed_out_ = true;
-      REVISE_OBS_COUNTER("solve.timed_out").Increment();
-      REVISE_FLIGHT_EVENT("solve.deadline_hit", "soft SAT deadline exceeded");
-    }
-    return result == sat::Solver::Result::kSat;
+  if (soft_deadline_seconds_ <= 0.0) return call();
+  obs::Stopwatch stopwatch;
+  const double deadline = soft_deadline_seconds_;
+  solver_.SetInterrupt(
+      [&stopwatch, deadline] { return stopwatch.ElapsedSeconds() >= deadline; });
+  const sat::Solver::Result result = call();
+  solver_.SetInterrupt(nullptr);
+  if (result == sat::Solver::Result::kUnknown) {
+    timed_out_ = true;
+    REVISE_OBS_COUNTER("solve.timed_out").Increment();
+    REVISE_FLIGHT_EVENT("solve.deadline_hit", "soft SAT deadline exceeded");
   }
-  return solver_.SolveAssuming(assumptions) == sat::Solver::Result::kSat;
+  return result;
+}
+
+bool SatContext::Solve(const std::vector<Lit>& assumptions) {
+  return RunUnderDeadline([&] { return solver_.SolveAssuming(assumptions); }) ==
+         sat::Solver::Result::kSat;
+}
+
+sat::Solver::Result SatContext::EnumerateProjections(
+    std::span<const int> vars, const sat::Solver::ProjectionVisitor& visit) {
+  return RunUnderDeadline(
+      [&] { return solver_.EnumerateProjections(vars, visit); });
 }
 
 StatusOr<bool> SatContext::SolveOrDeadline(

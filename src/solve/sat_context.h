@@ -10,6 +10,7 @@
 #define REVISE_SOLVE_SAT_CONTEXT_H_
 
 #include <cstdint>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -49,18 +50,25 @@ class SatContext {
   // reports true until the next Solve call.
   [[nodiscard]] bool Solve(const std::vector<sat::Lit>& assumptions = {});
 
+  // sat::Solver::EnumerateProjections under the soft deadline: kUnknown
+  // (with timed_out() true) means the deadline cut the enumeration short.
+  [[nodiscard]] sat::Solver::Result EnumerateProjections(
+      std::span<const int> vars, const sat::Solver::ProjectionVisitor& visit);
+
   // Like Solve, but a deadline expiry is reported as an explicit
   // kDeadlineExceeded status instead of being folded into `false`.
   StatusOr<bool> SolveOrDeadline(const std::vector<sat::Lit>& assumptions = {});
 
-  // Bounds each subsequent Solve call to roughly `seconds` of wall time
-  // (polled every ~64 conflicts, so very easy instances never pay for a
-  // clock read).  Values <= 0 clear the deadline.
+  // Bounds each subsequent Solve / EnumerateProjections call to roughly
+  // `seconds` of wall time (polled every ~64 conflicts or models, so very
+  // easy instances never pay for a clock read).  Values <= 0 clear the
+  // deadline.
   void set_soft_deadline_seconds(double seconds) {
     soft_deadline_seconds_ = seconds;
   }
   double soft_deadline_seconds() const { return soft_deadline_seconds_; }
-  // True iff the most recent Solve call hit the soft deadline.
+  // True iff the most recent Solve / EnumerateProjections call hit the
+  // soft deadline.
   bool timed_out() const { return timed_out_; }
 
   // Value of logic variable `var` in `frame` in the last model.
@@ -105,6 +113,10 @@ class SatContext {
     uint64_t aux_clauses = 0;
   };
   sat::Lit EncodeRec(const Formula& f, int frame, EncodeTally* tally);
+  // Runs call() (a solver call returning a Result) with the soft
+  // deadline installed as the solver's interrupt, and sets timed_out_.
+  template <typename Call>
+  sat::Solver::Result RunUnderDeadline(Call call);
 
   sat::Solver solver_;
   double soft_deadline_seconds_ = 0.0;

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
+#include <span>
 
 #include "logic/evaluate.h"
 #include "obs/metrics.h"
@@ -12,36 +13,41 @@
 #include "solve/model_cache.h"
 #include "solve/sat_context.h"
 #include "util/check.h"
+#include "util/status.h"
 
 namespace revise {
 
 namespace {
 
-// Core blocking-clause AllSAT loop shared by EnumerateModels,
-// EntailmentSolver::Models and QueryEquivalent: invokes visit(m) once per
-// distinct projection m onto `alphabet` of a model of the clauses in
-// `context`, in enumeration order, until visit returns false or the
-// projections are exhausted.  The blocking clauses stay in `context`.
+// The projected enumeration behind AllSatModels, EntailmentSolver::Models
+// and QueryEquivalent: invokes visit(m) once per distinct projection m
+// onto `alphabet` of a model of the clauses in `context`, in the order
+// one CDCL search (sat::Solver::EnumerateProjections) finds them, until
+// visit returns false or the projections are exhausted.  The blocking
+// clauses stay in `context`.  A soft deadline that stops the search
+// before either is a kDeadlineExceeded error: the models visited so far
+// are not all of them.
 template <typename Visit>
-void ForEachProjectedModel(SatContext& context, const Alphabet& alphabet,
-                           Visit&& visit) {
-  // Force the mapping of every alphabet variable to exist so blocking
-  // clauses can mention letters that do not occur in the clauses.
-  std::vector<sat::Lit> alphabet_lits(alphabet.size());
+Status ForEachProjectedModel(SatContext& context, const Alphabet& alphabet,
+                             Visit&& visit) {
+  // Mapping every alphabet letter, even one the clauses do not mention,
+  // lets the blocking clauses range over all of them.
+  std::vector<int> vars(alphabet.size());
   for (size_t i = 0; i < alphabet.size(); ++i) {
-    alphabet_lits[i] = sat::PosLit(context.SatVarOf(alphabet.var(i)));
+    vars[i] = context.SatVarOf(alphabet.var(i));
   }
-  while (context.Solve()) {
-    const Interpretation m = context.ExtractModel(alphabet);
-    if (!visit(m)) return;
-    // Block this projection.
-    std::vector<sat::Lit> blocking(alphabet.size());
-    for (size_t i = 0; i < alphabet.size(); ++i) {
-      blocking[i] =
-          m.Get(i) ? sat::Negate(alphabet_lits[i]) : alphabet_lits[i];
-    }
-    if (!context.solver().AddClause(std::move(blocking))) return;
+  Interpretation m(alphabet.size());
+  const sat::Solver::Result result = context.EnumerateProjections(
+      vars, [&](std::span<const sat::Lit> projection) {
+        for (size_t i = 0; i < projection.size(); ++i) {
+          m.Set(i, !sat::LitSign(projection[i]));
+        }
+        return visit(m);
+      });
+  if (result == sat::Solver::Result::kUnknown) {
+    return DeadlineExceededError("model enumeration exceeded soft deadline");
   }
+  return Status::Ok();
 }
 
 // An enumeration's result as a set, counted.
@@ -53,13 +59,16 @@ ModelSet EnumeratedSet(const Alphabet& alphabet,
 }
 
 // The first `limit` (0 = all) projections onto `alphabet`, as a set.
-ModelSet CollectProjectedModels(SatContext& context, const Alphabet& alphabet,
-                                size_t limit) {
+StatusOr<ModelSet> CollectProjectedModels(SatContext& context,
+                                          const Alphabet& alphabet,
+                                          size_t limit) {
   std::vector<Interpretation> models;
-  ForEachProjectedModel(context, alphabet, [&](const Interpretation& m) {
-    models.push_back(m);
-    return limit == 0 || models.size() < limit;
-  });
+  Status status =
+      ForEachProjectedModel(context, alphabet, [&](const Interpretation& m) {
+        models.push_back(m);
+        return limit == 0 || models.size() < limit;
+      });
+  if (!status.ok()) return status;
   return EnumeratedSet(alphabet, std::move(models));
 }
 
@@ -182,9 +191,12 @@ ModelSet EntailmentSolver::Models(const Alphabet& alphabet) {
   if (std::optional<ModelSet> tabled = TabledModels(base_, alphabet, 0)) {
     return *std::move(tabled);
   }
-  ModelSet models = CollectProjectedModels(Context(), alphabet, 0);
+  // No deadline is set on this context, so an interrupted enumeration is
+  // a broken invariant, never a truncated set.
+  StatusOr<ModelSet> models = CollectProjectedModels(Context(), alphabet, 0);
+  REVISE_CHECK_OK(models);
   context_.reset();
-  return models;
+  return std::move(models).value();
 }
 
 bool Entails(const Formula& a, const Formula& b) {
@@ -277,7 +289,9 @@ ModelSet AllSatModels(const Formula& f, const Alphabet& alphabet,
                       size_t limit) {
   SatContext context;
   context.Assert(f);
-  return CollectProjectedModels(context, alphabet, limit);
+  StatusOr<ModelSet> models = CollectProjectedModels(context, alphabet, limit);
+  REVISE_CHECK_OK(models);  // no deadline is set on `context`
+  return std::move(models).value();
 }
 
 bool QueryEquivalent(const Formula& a, const Formula& b,
@@ -298,14 +312,16 @@ bool QueryEquivalent(const Formula& a, const Formula& b,
   bool contained = true;
   SatContext context;
   context.Assert(b);
-  ForEachProjectedModel(context, alphabet, [&](const Interpretation& m) {
-    if (!ma.Contains(m)) {
-      contained = false;
-      return false;
-    }
-    ++shared;
-    return true;
-  });
+  const Status status =
+      ForEachProjectedModel(context, alphabet, [&](const Interpretation& m) {
+        if (!ma.Contains(m)) {
+          contained = false;
+          return false;
+        }
+        ++shared;
+        return true;
+      });
+  REVISE_CHECK_OK(status);  // no deadline is set on `context`
   if (!contained) {
     REVISE_OBS_COUNTER("solve.query_equiv.early_exit").Increment();
     return false;

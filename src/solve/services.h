@@ -40,8 +40,9 @@ class EntailmentSolver {
   // All models of base over `alphabet`, as EnumerateModels(base, alphabet)
   // but without the model cache.  Up to kMaxTruthTableLetters letters in
   // alphabet ∪ V(base) they are read off one truth table and the solver is
-  // left as it was.  Above that the AllSAT loop runs on this solver and
-  // its blocking clauses consume it: the next call encodes base afresh.
+  // left as it was.  Above that the projected enumeration runs on this
+  // solver and its blocking clauses consume it: the next call encodes
+  // base afresh.
   [[nodiscard]] ModelSet Models(const Alphabet& alphabet);
 
  private:
@@ -90,8 +91,9 @@ class EntailmentSolver {
                                        size_t limit = 0);
 
 // EnumerateModels by blocking-clause AllSAT at any width, without the
-// model cache: one CDCL solve per projection, each model blocked by a
-// clause on the alphabet literals.  EnumerateModels takes this path above
+// model cache: one CDCL search (sat::Solver::EnumerateProjections) that
+// blocks each projection by a clause on the alphabet literals and goes
+// on from there.  EnumerateModels takes this path above
 // kMaxTruthTableLetters letters; tests and the fuzz oracle call it
 // directly to check it against the table path on small alphabets.
 [[nodiscard]] ModelSet AllSatModels(const Formula& f,

@@ -10,6 +10,7 @@
 #include <fstream>
 #include <map>
 #include <set>
+#include <span>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -773,6 +774,24 @@ TEST(DeadlineTest, NoDeadlineSolvesNormally) {
   StatusOr<bool> result = context.SolveOrDeadline();
   ASSERT_TRUE(result.ok());
   EXPECT_FALSE(*result);
+}
+
+TEST(DeadlineTest, DeadlineCutsAnEnumerationShortAsUnknown) {
+  // 2^12 projections with no conflict among them: the per-model poll
+  // sees the deadline, and the call reports kUnknown, not a complete set.
+  SatContext context;
+  context.solver().EnsureVarCount(12);
+  const std::vector<int> vars = {0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11};
+  context.set_soft_deadline_seconds(1e-6);
+  size_t visited = 0;
+  const sat::Solver::Result result = context.EnumerateProjections(
+      vars, [&](std::span<const sat::Lit>) {
+        ++visited;
+        return true;
+      });
+  EXPECT_EQ(result, sat::Solver::Result::kUnknown);
+  EXPECT_TRUE(context.timed_out());
+  EXPECT_LT(visited, size_t{1} << 12);
 }
 
 TEST(DeadlineTest, GenerousDeadlineDoesNotTrigger) {
